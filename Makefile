@@ -27,6 +27,7 @@ bench:
 		benchmarks/bench_scale_throughput.py \
 		benchmarks/bench_stream_throughput.py \
 		benchmarks/bench_contingency_sweep.py \
+		benchmarks/bench_k2_sweep.py \
 		benchmarks/bench_gate.py \
 		benchmarks/bench_serve_throughput.py \
 		-q -s --benchmark-disable

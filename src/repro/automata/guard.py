@@ -2,11 +2,11 @@
 
 The runtime's per-check deadline guard (:func:`repro.verifier.runtime._deadline`)
 is SIGALRM-based, and ``SIGALRM`` can only be armed on the main thread of a
-process.  Checks executed *in-thread* — the embedded service runner, the
-resilient pool's serial fallback, a sharded sweep's shard-local session —
-used to silently lose their ``check_timeout`` protection: a pathological
-product walk could hang the thread with no cutoff short of the process-level
-CI timeout.
+process.  Checks executed *in-thread* — serial requests and the resilient
+pool's serial fallback on the daemon's executor threads, any threaded
+caller — used to silently lose their ``check_timeout`` protection: a
+pathological product walk could hang the thread with no cutoff short of
+the process-level CI timeout.
 
 This module is the non-main-thread fallback: a thread-local monotonic-clock
 deadline that the lazy decision procedures poll at product-walk step

@@ -313,8 +313,6 @@ def _run_sweep(args: argparse.Namespace):
                      "(maintenance sets are derived from the region interconnects)")
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
 
     params = BackboneParams(
         regions=args.regions,
@@ -352,7 +350,6 @@ def _run_sweep(args: argparse.Namespace):
     sweep = scenario.sweep(contingencies, options=options).run(
         checkpoint=args.checkpoint,
         resume=args.resume,
-        shards=args.shards,
         first_worst=args.first_worst,
     )
     return backbone, scenario, sweep
@@ -600,13 +597,6 @@ def _add_sweep_arguments(command: argparse.ArgumentParser) -> None:
         help="append the planned-maintenance interconnect severances",
     )
     command.add_argument("--workers", type=int, default=1)
-    command.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fork N processes to speculatively execute the contingencies' "
-        "checks in parallel; the report stays byte-identical to --shards 1",
-    )
     command.add_argument(
         "--first-worst",
         action="store_true",

@@ -4,9 +4,9 @@ Layering (each importable on its own):
 
 * :mod:`repro.serve.protocol` — canonical JSON codec for reports, errors
   and request payloads (the byte-equivalence contract lives here);
-* :mod:`repro.serve.pool` — :class:`PoolManager`, the shared worker pool
-  reused across requests (the per-call pool in ``runtime.execute_checks``
-  is what this lifts out);
+* :mod:`repro.serve.pool` — :class:`PoolManager`, the daemon-lifetime
+  owner of the one :class:`~repro.verifier.runtime.ResilientPool` every
+  request shares (the same class ``runtime.execute_checks`` opens per call);
 * :mod:`repro.serve.quotas` — :class:`AdmissionLedger`, bounded request
   queue + per-tenant limits behind HTTP 429;
 * :mod:`repro.serve.host` — :class:`SessionHost`, the transport-free

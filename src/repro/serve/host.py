@@ -266,7 +266,7 @@ class SessionHost:
             report_history=protocol.decode_budget(body, "report_history"),
         )
         if self.pool is not None:
-            session.runner = self.pool.runner
+            session.runner = self.pool.execute
         hosted = HostedSession(tenant=tenant, name=name, session=session)
         if spec is not None:
             hosted.specs[stable_digest(spec)] = spec
@@ -332,7 +332,7 @@ class SessionHost:
         # verify_change() builds it — with the shared pool plugged in.
         session = VerificationSession(pre, spec, options=options)
         if self.pool is not None:
-            session.runner = self.pool.runner
+            session.runner = self.pool.execute
         report = session.advance(post)
         return {"report": protocol.encode_report(report)}
 
@@ -400,7 +400,7 @@ class SessionHost:
             options.granularity = scenario.granularity
         sweep = scenario.sweep(contingencies, options=options)
         if self.pool is not None:
-            sweep.runner = self.pool.runner
+            sweep.runner = self.pool.execute
         return {"sweep": protocol.encode_sweep_report(sweep.run())}
 
     # ------------------------------------------------------------------
@@ -430,7 +430,7 @@ class SessionHost:
                 continue
             session = StateStore(state_path).load_session()
             if self.pool is not None:
-                session.runner = self.pool.runner
+                session.runner = self.pool.execute
             self.ledger.claim_session(tenant)
             self._sessions[(tenant, name)] = HostedSession(
                 tenant=tenant, name=name, session=session

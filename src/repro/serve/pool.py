@@ -1,56 +1,35 @@
 """The shared worker pool of the verification service.
 
-The library engine builds a fresh ``ProcessPoolExecutor`` inside every
-parallel :func:`~repro.verifier.runtime.execute_checks` call: correct, and
-cheap enough for one CLI invocation, but a daemon answering a stream of
+The library opens a :class:`~repro.verifier.runtime.ResilientPool` inside
+every parallel :func:`~repro.verifier.runtime.execute_checks` call: correct,
+and cheap enough for one CLI invocation, but a daemon answering a stream of
 requests would pay worker spawn + context shipping on *every* request.
-:class:`PoolManager` lifts the pool out of per-call scope:
+:class:`PoolManager` is the daemon's owner of one such pool, held for the
+life of the process: workers are spawned once and reused across requests,
+contexts stay cached in them by token, and a crash is recovered by the very
+state machine the library runs (bisection, isolation, serial fallback, with
+each check's crash exposure riding along), so served reports — degraded and
+fault-injected ones included — are byte-identical to the library's.
 
-* **One long-lived executor.**  Workers are spawned once and reused across
-  requests; ``stats()["pools_created"]`` counts executor builds, and the
-  serve benchmark asserts it stays at 1 in steady state (pool rebuilds
-  only happen after a worker death).
-* **Token-addressed context shipping.**  A verification context (check
-  function, compiled specs, automaton builder, options) is pickled once
-  per context and cached *inside each worker* under an integer token;
-  steady-state submissions carry only the token, the request's dense
-  graph table and the work batch.  A worker that does not hold the token
-  (a fresh worker, or one that evicted it) answers ``need-context`` and
-  the batch is resubmitted with the payload attached — requests are never
-  lost to a cache miss.
-* **Crash recovery by delegation.**  ``BrokenProcessPool`` keeps completed
-  results, rebuilds the shared executor (counted), and hands the
-  *unfinished* work to the classic per-call
-  :class:`~repro.verifier.runtime.ResilientPool`, whose bisection /
-  isolation / serial-fallback state machine attributes poisonous checks
-  exactly as the library path does.  Fault-injected runs
-  (``options.fault_plan``) bypass the shared pool entirely for the same
-  reason: injected crash schedules assume the per-call pool's attempt
-  accounting, and the differential suite pins those reports byte for byte.
-
-The manager's :meth:`runner` method has the exact signature of
-:func:`repro.verifier.engine._execute_unique_checks`, so it plugs into
+``stats()["pools_created"]`` counts executor builds (the serve benchmark
+asserts it stays at 1 in steady state) and ``pool_rebuilds`` the executors
+lost to a worker death.  :meth:`PoolManager.execute` has the signature of
+``execute_checks``, so it plugs into
 :attr:`repro.verifier.session.VerificationSession.runner` unchanged.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
-from collections import OrderedDict
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.verifier.runtime import (
-    CheckFailure,
     CheckFn,
     ExecutionResult,
+    ResilientPool,
     WorkItem,
-    _record,
     execute_checks,
-    run_batch,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,170 +37,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verifier.engine import CompiledSpec, VerificationOptions
     from repro.verifier.state_automata import StateAutomatonBuilder
 
-#: Verification contexts each *worker process* retains, LRU.  Sized for a
-#: busy multi-tenant daemon: most requests land on a handful of hot
-#: session contexts; a cold context costs one payload reship.
-WORKER_CONTEXT_LIMIT = 16
-
-# Worker-process-local context cache: token -> (check_fn, compiled_specs,
-# builder, options).  Installed lazily from submission payloads, never by
-# a pool initializer, so one pool serves every context.
-_CONTEXTS: OrderedDict[int, tuple] = OrderedDict()
-
-
-def _serve_batch(
-    token: int,
-    payload: bytes | None,
-    graph_table: list["ForwardingGraph"],
-    batch: list[WorkItem],
-) -> tuple[str, Any]:
-    """Worker entry point: resolve the context by token, run the batch.
-
-    Returns ``("ok", results)`` or ``("need-context", token)`` when the
-    token is unknown here and no payload was attached (the parent then
-    resubmits the batch with the pickled context).
-    """
-    context = _CONTEXTS.get(token)
-    if context is None:
-        if payload is None:
-            return ("need-context", token)
-        context = pickle.loads(payload)
-        _CONTEXTS[token] = context
-        while len(_CONTEXTS) > WORKER_CONTEXT_LIMIT:
-            _CONTEXTS.popitem(last=False)
-    else:
-        _CONTEXTS.move_to_end(token)
-    check_fn, compiled_specs, builder, options = context
-    return (
-        "ok",
-        run_batch(check_fn, compiled_specs, builder, options, graph_table, {}, batch),
-    )
-
 
 class PoolManager:
-    """A process pool shared by every request of a verification service.
+    """The daemon-lifetime :class:`ResilientPool` plus its request counters.
 
-    Thread-safe: server executor threads call :meth:`execute` concurrently;
-    submissions interleave on the shared executor, and rebuild-after-crash
-    is serialized under the manager lock.  ``workers`` fixes the pool
-    width; requests whose options ask for serial execution (or that carry
-    a single check, or a fault plan) take the classic per-call path via
-    :func:`~repro.verifier.runtime.execute_checks` — report-transparency
-    is the invariant, pool reuse is the optimization.
+    Thread-safe: server executor threads call :meth:`execute` concurrently.
+    ``workers`` fixes the pool width; requests whose options ask for serial
+    execution (or that carry a single check) never needed a pool and take
+    :func:`~repro.verifier.runtime.execute_checks` in-thread.
     """
 
-    def __init__(self, workers: int = 2, *, max_contexts: int = 64) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 2:
             raise ValueError("a shared pool needs at least 2 workers")
         self.workers = workers
-        self.max_contexts = max_contexts
+        self._pool = ResilientPool(workers)
         self._lock = threading.Lock()
-        self._executor: ProcessPoolExecutor | None = None
-        self._generation = 0
-        #: Tokens whose payload at least one gang round delivered since the
-        #: last rebuild; submissions for them omit the payload first.
-        self._published: set[int] = set()
-        # Parent-side context registry.  Strong references pin the id()
-        # keys, so a token can never alias a recycled context object.
-        self._tokens: dict[tuple[int, int, int, int], int] = {}
-        self._registered: OrderedDict[int, tuple] = OrderedDict()
-        self._payloads: dict[int, bytes] = {}
-        self._next_token = 0
-        self._stats = {
-            "pools_created": 0,
-            "pool_rebuilds": 0,
-            "requests": 0,
-            "bypassed_requests": 0,
-            "executed_checks": 0,
-            "contexts_registered": 0,
-            "context_payload_sends": 0,
-            "context_misses": 0,
-        }
+        self._stats = {"requests": 0, "bypassed_requests": 0, "executed_checks": 0}
 
-    # ------------------------------------------------------------------
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """A snapshot of the pool counters (the ``/healthz`` payload)."""
+        """A snapshot of the pool and request counters (the ``/healthz`` payload)."""
         with self._lock:
-            return dict(self._stats)
+            return {**self._pool.stats(), **self._stats}
 
     def shutdown(self) -> None:
         """Stop the workers; in-flight futures are cancelled."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-
-    def _ensure_executor(self) -> tuple[ProcessPoolExecutor, int]:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                self._generation += 1
-                self._stats["pools_created"] += 1
-                self._published.clear()
-            return self._executor, self._generation
-
-    def _rebuild_after_crash(self, generation: int) -> None:
-        """Replace a broken executor (once per generation, however many
-        requests observed the same crash)."""
-        with self._lock:
-            self._stats["pool_rebuilds"] += 1
-            if self._generation != generation or self._executor is None:
-                return
-            broken, self._executor = self._executor, None
-        broken.shutdown(cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    # Context registry
-    # ------------------------------------------------------------------
-    def _context_token(
-        self,
-        check_fn: CheckFn,
-        compiled_specs: dict,
-        builder: "StateAutomatonBuilder",
-        options: "VerificationOptions",
-    ) -> int:
-        key = (id(check_fn), id(compiled_specs), id(builder), id(options))
-        with self._lock:
-            token = self._tokens.get(key)
-            if token is not None:
-                self._registered.move_to_end(token)
-                return token
-            token = self._next_token
-            self._next_token += 1
-            self._tokens[key] = token
-            self._registered[token] = (check_fn, compiled_specs, builder, options, key)
-            self._stats["contexts_registered"] += 1
-            while len(self._registered) > self.max_contexts:
-                old_token, entry = self._registered.popitem(last=False)
-                del self._tokens[entry[4]]
-                self._payloads.pop(old_token, None)
-                self._published.discard(old_token)
-            return token
-
-    def _payload_for(self, token: int) -> bytes:
-        with self._lock:
-            payload = self._payloads.get(token)
-            if payload is None:
-                check_fn, compiled_specs, builder, options, _ = self._registered[token]
-                payload = pickle.dumps((check_fn, compiled_specs, builder, options))
-                self._payloads[token] = payload
-            return payload
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def runner(
-        self,
-        unique_work: list[WorkItem],
-        graph_table: Sequence["ForwardingGraph"],
-        compiled_specs: dict[str, "CompiledSpec"],
-        builder: "StateAutomatonBuilder",
-        options: "VerificationOptions",
-    ) -> ExecutionResult:
-        """Drop-in ``_execute_unique_checks`` replacement (session hook)."""
-        return self.execute(unique_work, graph_table, compiled_specs, builder, options)
+        self._pool.shutdown()
 
     def execute(
         self,
@@ -232,122 +73,11 @@ class PoolManager:
         options: "VerificationOptions",
         check_fn: CheckFn | None = None,
     ) -> ExecutionResult:
-        """Run a deduplicated work list, reusing the shared pool.
-
-        Outcome-equivalent to :func:`~repro.verifier.runtime.execute_checks`
-        with the same arguments — the differential suite pins this — but in
-        the common case no pool is built and no context is re-shipped.
-        """
-        if check_fn is None:
-            from repro.verifier.engine import _check_one_fec
-
-            check_fn = _check_one_fec
+        """``execute_checks`` with the pool lifted out of per-call scope."""
+        bypass = options.workers <= 1 or len(unique_work) <= 1
         with self._lock:
             self._stats["requests"] += 1
             self._stats["executed_checks"] += len(unique_work)
-        if (
-            not unique_work
-            or options.workers <= 1
-            or len(unique_work) <= 1
-            or options.fault_plan is not None
-        ):
-            # Serial requests never needed a pool; single-check and
-            # fault-injected requests keep the per-call path so their
-            # reports (including injected-crash attempt accounting) stay
-            # byte-identical to the library's.
-            with self._lock:
-                self._stats["bypassed_requests"] += 1
-            return execute_checks(
-                unique_work, graph_table, compiled_specs, builder, options, check_fn
-            )
-
-        result = ExecutionResult()
-        token = self._context_token(check_fn, compiled_specs, builder, options)
-        table = list(graph_table)
-        chunk_size = max(1, len(unique_work) // (self.workers * 4))
-        batches = [
-            list(unique_work[i : i + chunk_size])
-            for i in range(0, len(unique_work), chunk_size)
-        ]
-        executor, generation = self._ensure_executor()
-        published = token in self._published
-        payload = None if published else self._payload_for(token)
-        if payload is not None:
-            with self._lock:
-                self._stats["context_payload_sends"] += 1
-
-        try:
-            futures = {
-                executor.submit(_serve_batch, token, payload, table, batch): batch
-                for batch in batches
-            }
-        except (BrokenProcessPool, RuntimeError):
-            # Pool already broken (or shut down) before submission: rebuild
-            # and run this request on the classic path.
-            self._rebuild_after_crash(generation)
-            result.pool_rebuilds += 1
-            return execute_checks(
-                unique_work, graph_table, compiled_specs, builder, options, check_fn
-            )
-
-        pending = set(futures)
-        crashed = False
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                batch = futures[future]
-                try:
-                    kind, value = future.result()
-                except BrokenProcessPool:
-                    crashed = True
-                    continue
-                except Exception as error:  # noqa: BLE001 - batch failed, pool intact
-                    for item in batch:
-                        if item[0] in result.outcomes:
-                            continue
-                        failure = CheckFailure(
-                            fec_id=item[0],
-                            fec_description=item[0],
-                            reason="error",
-                            detail=f"batch execution failed: "
-                            f"{type(error).__name__}: {error}",
-                        )
-                        _record(result, options, item[0], failure, 0)
-                    continue
-                if kind == "need-context":
-                    # A worker without this context picked the batch up:
-                    # resubmit with the payload attached.
-                    with self._lock:
-                        self._stats["context_misses"] += 1
-                        self._stats["context_payload_sends"] += 1
-                    resubmitted = executor.submit(
-                        _serve_batch, token, self._payload_for(token), table, batch
-                    )
-                    futures[resubmitted] = batch
-                    pending.add(resubmitted)
-                    continue
-                for fec_id, outcome, retries in value:
-                    _record(result, options, fec_id, outcome, retries)
-        if crashed:
-            self._rebuild_after_crash(generation)
-            result.pool_rebuilds += 1
-            remaining = [
-                item for item in unique_work if item[0] not in result.outcomes
-            ]
-            if remaining:
-                # Classic resilient path finishes the request: bisection
-                # and isolation attribute any poisonous check exactly as a
-                # per-call pool would.
-                recovered = execute_checks(
-                    remaining, graph_table, compiled_specs, builder, options, check_fn
-                )
-                result.outcomes.update(recovered.outcomes)
-                result.degraded = result.degraded or recovered.degraded
-                result.failed_checks += recovered.failed_checks
-                result.pool_rebuilds += recovered.pool_rebuilds
-                result.retried_checks += recovered.retried_checks
-                result.serial_fallback = result.serial_fallback or recovered.serial_fallback
-        else:
-            with self._lock:
-                self._published.add(token)
-        return result
+            self._stats["bypassed_requests"] += bypass
+        run = execute_checks if bypass else self._pool.run
+        return run(unique_work, graph_table, compiled_specs, builder, options, check_fn)

@@ -42,7 +42,7 @@ know how to solve:
    ``contingencies × unique-pairs-per-contingency`` — the
    :attr:`SweepReport.dedup_ratio` headline, gated in CI.
 
-Scaling past single failures (the combinatorial k=2/k=3 spaces) adds three
+Scaling past single failures (the combinatorial k=2/k=3 spaces) adds two
 coordinated mechanisms on top:
 
 5. **Incremental lattice derivation**: a k-failure contingency's snapshot
@@ -58,18 +58,7 @@ coordinated mechanisms on top:
    byte-identical to the from-baseline scan (``incremental=False``); the
    bench gate ``bench_k2_sweep.py`` pins both the equality and the
    speedup.
-6. **Sharded speculative execution** (``run(shards=N)``): the remaining
-   contingency set is partitioned across forked worker processes, each
-   running its own rebased session over its slice and shipping back its
-   verdict-cache deltas.  The parent then runs the normal serial loop with
-   the merged verdicts served through a replay runner — every ``(context,
-   spec key, pre ref, post ref)`` still computes once sweep-wide, and
-   the :class:`SweepReport` (dedup accounting included) is byte-for-byte
-   what the serial path produces, because the serial loop *is* what
-   produces it.  A shard that dies just means its outcomes are re-executed
-   in-process; unknown verdicts (:class:`~repro.verifier.runtime.CheckFailure`)
-   never ride the merge and are always re-executed.
-7. **Prioritized first-worst search** (``run(first_worst=True)``): the
+6. **Prioritized first-worst search** (``run(first_worst=True)``): the
    k≥2 contingencies are reordered by a fragility score seeded from the
    single-failure lattice nodes — the fraction of traffic combinations
    each candidate link's failure flips, combined per contingency with the
@@ -86,7 +75,6 @@ Per-contingency reports are byte-identical to naive one-shot
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -105,13 +93,9 @@ from repro.rela.spec import RelaSpec
 from repro.snapshots.fec import FlowEquivalenceClass
 from repro.snapshots.graphstore import GraphStore
 from repro.snapshots.snapshot import Snapshot
-from repro.verifier.engine import VerificationOptions, _execute_unique_checks
+from repro.verifier.engine import VerificationOptions
 from repro.verifier.report import VerificationReport
-from repro.verifier.runtime import ExecutionResult
 from repro.verifier.session import VerificationSession
-
-#: Sentinel distinguishing "merged None verdict" from "not merged".
-_MISS = object()
 
 #: An unordered router pair naming one link bundle.
 LinkPair = tuple[str, str]
@@ -306,9 +290,6 @@ class SweepReport:
     #: *direct* cost, measured inside the run: a two-arm wall-clock
     #: comparison cannot resolve it against scheduler jitter.
     checkpoint_seconds: float = 0.0
-    #: Worker processes the check phase was sharded across (1 = serial).
-    #: Runtime provenance only — the report content is shard-invariant.
-    shards: int = 1
     #: True when the sweep ran in first-worst (fragility-ordered) mode.
     prioritized: bool = False
 
@@ -636,62 +617,6 @@ class _SweepState:
     base_derive_seconds: float
 
 
-class _ReplayRunner:
-    """Serve check outcomes merged from shard workers; execute only misses.
-
-    Installed as the sweep session's execution hook during a sharded run's
-    serial phase.  Outcomes are keyed by ``(alphabet signature, spec key,
-    pre fingerprint, post fingerprint)`` — the content form of the session's
-    verdict-cache key, which is exactly what shard delta logs journal.  A
-    work item the shards never computed (a dead shard, a memoize-off run, a
-    ``CheckFailure`` the delta log rightly refused to persist) falls through
-    to the normal executor, so the merge is a pure accelerator: the serial
-    loop's reports cannot depend on it.
-    """
-
-    def __init__(
-        self,
-        verdicts: dict[tuple[tuple[str, ...], str, str, str], object],
-        fallback: Callable[..., ExecutionResult] | None,
-    ) -> None:
-        self._verdicts = verdicts
-        self._fallback = fallback
-        self.served = 0
-        self.executed = 0
-
-    def __call__(self, work, table, compiled_specs, builder, options) -> ExecutionResult:
-        signature = tuple(builder.alphabet.names())
-        fingerprints = [graph.fingerprint() for graph in table]
-        outcomes: dict[str, object] = {}
-        missing = []
-        for item in work:
-            fec_id, spec_key, pre_idx, post_idx = item
-            hit = self._verdicts.get(
-                (signature, spec_key, fingerprints[pre_idx], fingerprints[post_idx]),
-                _MISS,
-            )
-            if hit is _MISS:
-                missing.append(item)
-            else:
-                outcomes[fec_id] = hit
-        self.served += len(work) - len(missing)
-        self.executed += len(missing)
-        if not missing:
-            return ExecutionResult(outcomes=outcomes)
-        execute = self._fallback if self._fallback is not None else _execute_unique_checks
-        fresh = execute(missing, table, compiled_specs, builder, options)
-        merged = dict(fresh.outcomes)
-        merged.update(outcomes)
-        return ExecutionResult(
-            outcomes=merged,
-            degraded=fresh.degraded,
-            failed_checks=fresh.failed_checks,
-            pool_rebuilds=fresh.pool_rebuilds,
-            retried_checks=fresh.retried_checks,
-            serial_fallback=fresh.serial_fallback,
-        )
-
-
 # ----------------------------------------------------------------------
 # The sweep driver
 # ----------------------------------------------------------------------
@@ -759,8 +684,8 @@ class ContingencySweep:
         self.contingencies = list(contingencies)
         #: Execution hook handed to the sweep-wide session (see
         #: :attr:`repro.verifier.session.VerificationSession.runner`); the
-        #: verification service points it at a shared worker pool.  ``None``
-        #: keeps the default per-call resilient pool.
+        #: verification service points it at its daemon-lifetime pool.
+        #: ``None`` keeps the default per-call pool.
         self.runner: Callable[..., object] | None = None
         if include_baseline and not any(c.is_baseline for c in self.contingencies):
             self.contingencies.insert(0, baseline_contingency())
@@ -798,7 +723,6 @@ class ContingencySweep:
         *,
         checkpoint: str | Path | None = None,
         resume: bool = False,
-        shards: int = 1,
         first_worst: bool = False,
         on_contingency: Callable[[int, ContingencyResult, bool], object] | None = None,
     ) -> SweepReport:
@@ -814,17 +738,6 @@ class ContingencySweep:
         fresh on resume.  A ``KeyboardInterrupt`` flushes a final
         interrupt marker before propagating.
 
-        ``shards=N`` forks N worker processes that speculatively execute
-        the remaining contingencies' checks in parallel; the serial loop
-        then serves their merged verdicts instead of recomputing them.
-        Report content is byte-for-byte the serial path's (only the
-        :attr:`SweepReport.shards` provenance field and timings differ).
-        Sharding needs the ``fork`` start method and check memoization; it
-        degrades silently to serial execution without them.  A custom
-        :attr:`runner` is *not* propagated into shards (service worker
-        pools do not survive a fork) — shards use the default executor and
-        the runner still serves the serial phase's misses.
-
         ``first_worst=True`` reorders the k≥2 contingencies most-fragile
         first (see the module docstring) before the run signature is
         computed — a first-worst run is its own checkpointable unit order,
@@ -838,8 +751,6 @@ class ContingencySweep:
         """
         if resume and checkpoint is None:
             raise VerificationError("resume=True requires a checkpoint path")
-        if shards < 1:
-            raise VerificationError("a sweep needs at least one shard")
         started = time.perf_counter()
         state = self._prepare()
         if first_worst:
@@ -853,14 +764,13 @@ class ContingencySweep:
             )
             journal_seconds = time.perf_counter() - journal_started
         try:
-            sweep = self._run(ckpt, state, shards=shards, on_contingency=on_contingency)
+            sweep = self._run(ckpt, state, on_contingency=on_contingency)
         finally:
             if ckpt is not None:
                 journal_started = time.perf_counter()
                 ckpt.close()
                 journal_seconds += time.perf_counter() - journal_started
         sweep.checkpoint_seconds += journal_seconds
-        sweep.shards = shards
         sweep.prioritized = first_worst
         sweep.elapsed_seconds = time.perf_counter() - started
         return sweep
@@ -983,7 +893,6 @@ class ContingencySweep:
         ckpt: Checkpoint | None,
         state: _SweepState,
         *,
-        shards: int = 1,
         on_contingency: Callable[[int, ContingencyResult, bool], object] | None = None,
     ) -> SweepReport:
         store, base_pre = state.store, state.base_pre
@@ -1021,11 +930,6 @@ class ContingencySweep:
             sweep.record(unit["result"])
             if on_contingency is not None:
                 on_contingency(index, unit["result"], True)
-
-        if shards > 1 and len(completed) < len(self.contingencies):
-            merged = self._speculate(len(completed), shards)
-            if merged:
-                session.runner = _ReplayRunner(merged, self.runner)
 
         try:
             for index in range(len(completed), len(self.contingencies)):
@@ -1077,105 +981,6 @@ class ContingencySweep:
             raise
         sweep.distinct_graphs = len(store)
         return sweep
-
-    # ------------------------------------------------------------------
-    # Sharded speculative execution
-    # ------------------------------------------------------------------
-    def _speculate(
-        self, start: int, shards: int
-    ) -> dict[tuple[tuple[str, ...], str, str, str], object]:
-        """Phase 1 of a sharded run: fork workers, merge their verdict deltas.
-
-        Contingencies ``start..`` are partitioned round-robin across forked
-        processes.  Each worker runs its slice through its own rebased
-        session (delta log on) and ships the drained events back over a
-        pipe; the parent folds every ``add`` event into one content-keyed
-        verdict map.  First writer wins on key collisions — outcomes are
-        deterministic functions of the key, so collisions agree anyway.
-        Returns an empty map (serial execution) when forking or memoization
-        is unavailable, and silently drops the slice of any shard that died
-        — its outcomes are simply computed in-process by phase 2.
-        """
-        if self.options is not None and not self.options.memoize_fec_checks:
-            return {}  # no memoization → no delta log → nothing to merge
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return {}
-        indices = list(range(start, len(self.contingencies)))
-        partitions = [indices[offset::shards] for offset in range(shards)]
-        workers: list[tuple[multiprocessing.Process, object]] = []
-        for partition in partitions:
-            if not partition:
-                continue
-            receiver, sender = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=self._shard_main, args=(partition, sender), daemon=True
-            )
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        merged: dict[tuple[tuple[str, ...], str, str, str], object] = {}
-        for process, receiver in workers:
-            try:
-                events = receiver.recv()
-            except (EOFError, OSError):
-                events = []
-            finally:
-                receiver.close()
-            process.join()
-            for event in events:
-                if event[0] != "add":
-                    continue
-                _, _token, signature, spec_key, pre_graph, post_graph, outcome = event
-                merged.setdefault(
-                    (
-                        tuple(signature),
-                        spec_key,
-                        pre_graph.fingerprint(),
-                        post_graph.fingerprint(),
-                    ),
-                    outcome,
-                )
-        return merged
-
-    def _shard_main(self, indices: list[int], conn) -> None:
-        """Forked worker entry point: run a slice, send the delta events."""
-        try:
-            conn.send(self._shard_events(indices))
-        except Exception:
-            # A failed shard degrades to serial re-execution of its slice;
-            # best-effort empty payload keeps the parent's recv() clean.
-            try:
-                conn.send([])
-            except Exception:
-                pass
-        finally:
-            conn.close()
-
-    def _shard_events(self, indices: list[int]) -> list[tuple]:
-        """Verify one contingency slice; return the session's delta events."""
-        from dataclasses import replace as dataclass_replace
-
-        state = self._prepare()
-        options = self.options
-        if options is not None and options.workers > 1:
-            # The shard is the parallelism; nested per-shard pools would
-            # oversubscribe the host.
-            options = dataclass_replace(options, workers=1)
-        session = VerificationSession(
-            state.base_pre, self.spec, db=self.db, options=options
-        )
-        session.enable_delta_log()
-        events: list[tuple] = []
-        for index in indices:
-            contingency = self.contingencies[index]
-            pre, _route, _derive = self._derive(contingency, state)
-            post, _expected = self._apply_change(pre, contingency)
-            session.rebase(pre)
-            session.advance(post, self.spec)
-            events.extend(session.drain_deltas())
-        return events
 
     def _apply_change(
         self, pre: Snapshot, contingency: Contingency

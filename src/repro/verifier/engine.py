@@ -28,31 +28,29 @@ Three engine-level optimizations keep backbone-scale runs cheap:
   (``str(fec)``) and counterexample relabeling are built lazily, only for
   violating FECs, so a change over 10^5 classes that holds allocates
   O(#unique graph pairs), not O(#FECs).
-* **Initializer-based workers with an id-indexed graph table**: the compiled
-  specs, builder, options and the table of *distinct* graphs are shipped to
-  each worker process once via the ``ProcessPoolExecutor`` initializer;
-  work batches carry only ``(fec_id, spec_key, pre id, post id)`` tuples —
-  each graph crosses the process boundary exactly once, however many FECs
-  share it.  Results are streamed back with ``as_completed`` (no
-  head-of-line blocking); the report is sorted at the end so the output is
-  order-independent.  Since the resilience restructuring the execution
-  itself — serial and pooled, with per-check deadlines/retries, crash
-  recovery and graceful degradation — lives in
-  :mod:`repro.verifier.runtime`; this module contributes the check function
-  and the work-list layout.
+* **Token-addressed workers with an id-indexed graph table**: the compiled
+  specs, builder and options are pickled once and cached inside each worker
+  process under a token; work batches carry the token, ``(fec_id,
+  spec_key, pre id, post id)`` tuples and a table of the *distinct* graphs
+  those ids name — a graph crosses the process boundary about once per
+  run, however many FECs share it.  Results stream back as they complete
+  (no head-of-line blocking); the report is sorted at the end so the output
+  is order-independent.  The execution itself — serial and pooled, with
+  per-check deadlines/retries, crash recovery and graceful degradation —
+  lives in :mod:`repro.verifier.runtime`; this module contributes the check
+  function.
 
 Since the session restructuring, the engine's *lifecycle* lives in
 :mod:`repro.verifier.session`: a :class:`~repro.verifier.session.VerificationSession`
 owns the cross-epoch graph store, the compiled-spec contexts and the
 persistent verdict cache, and :func:`verify_change` is a thin session of
 length 1 (one cold ``advance``).  This module keeps the per-epoch
-machinery the session drives: spec compilation, the single-FEC check, and
-the serial/worker execution of a deduplicated work list.
+machinery the session drives: spec compilation and the single-FEC check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -73,7 +71,6 @@ from repro.snapshots.forwarding_graph import ForwardingGraph
 from repro.snapshots.snapshot import Snapshot
 from repro.verifier.counterexample import BranchViolation, Counterexample, rewrite_hash
 from repro.verifier.report import VerificationReport
-from repro.verifier.runtime import ExecutionResult, execute_checks
 from repro.verifier.state_automata import StateAutomatonBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -413,36 +410,6 @@ def _spec_symbols(specs: Iterable[RelaSpec]) -> set[str]:
         for branch in flatten_else(spec):
             symbols |= zone(branch).symbols()
     return symbols
-
-
-def _execute_unique_checks(
-    unique_work: list[tuple[str, str, int, int]],
-    graph_table: Sequence[ForwardingGraph],
-    compiled_specs: dict[str, CompiledSpec],
-    builder: StateAutomatonBuilder,
-    options: VerificationOptions,
-) -> ExecutionResult:
-    """Run the deduplicated work list through the fault-tolerant runtime.
-
-    ``unique_work`` holds one ``(fec_id, spec_key, pre id, post id)`` item
-    per distinct (spec, graph pair) combination, with ids indexing
-    ``graph_table``.  Execution — serial or worker-pool, either way under
-    the per-check deadline/retry guard and the crash-recovery loop — lives
-    in :mod:`repro.verifier.runtime`; the returned
-    :class:`~repro.verifier.runtime.ExecutionResult` carries per-FEC
-    outcomes (pass, counterexample, or *unknown*
-    :class:`~repro.verifier.runtime.CheckFailure`) plus degradation
-    accounting for the report (callers restore determinism when folding
-    the outcomes in).
-    """
-    return execute_checks(
-        unique_work,
-        graph_table,
-        compiled_specs,
-        builder,
-        options,
-        check_fn=_check_one_fec,
-    )
 
 
 def verify_change(

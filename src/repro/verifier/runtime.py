@@ -11,16 +11,23 @@ their deduplicated work lists through it.
 
 Three mechanisms, composed:
 
-1. **A resilient pool.**  :func:`execute_checks` wraps
+1. **A resilient pool.**  :class:`ResilientPool` wraps
    ``ProcessPoolExecutor`` so that ``BrokenProcessPool`` is a recoverable
-   event: completed results are kept, the pool is rebuilt (workers are
-   re-initialized from the same graph table), and only the unfinished
-   batches are re-submitted.  Because a crash kills a whole batch without
-   naming the guilty check, crashed batches are **bisected** across
-   rebuilds until the poison check is isolated in a batch of one; that
-   singleton is then retried in a dedicated single-worker pool (precise
-   attribution: if *that* pool breaks, the check is the killer) up to the
-   retry budget before being given up on.
+   event: completed results are kept, the executor is rebuilt, and only
+   the unfinished batches are re-submitted.  Because a crash kills a whole
+   batch without naming the guilty check, crashed batches are **bisected**
+   across rebuilds until the poison check is isolated in a batch of one;
+   that singleton is then retried in a dedicated single-worker executor
+   (precise attribution: if *that* one breaks, the check is the killer) up
+   to the retry budget before being given up on.  It is the only pool in
+   ``src/``, with two lifetimes: :func:`execute_checks` opens one per call,
+   the verification service (:mod:`repro.serve.pool`) keeps one for the
+   life of the daemon and shares it between concurrent requests.  Either
+   way a verification context (check function, compiled specs, builder,
+   options) is pickled once and cached *inside each worker* under an
+   integer token, so steady-state submissions carry only the token, the
+   work batch, the distinct graphs it names and each check's crash
+   exposure so far.
 
 2. **Per-check timeouts and retries.**  Every check — serial or
    worker-side — runs under a wall-clock deadline
@@ -57,11 +64,13 @@ clean report or a report whose only difference is honestly-flagged
 
 from __future__ import annotations
 
+import pickle
 import signal
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Generator, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -71,7 +80,6 @@ from repro.automata import guard
 from repro.errors import (
     CheckTimeoutError,
     DegradedExecutionError,
-    VerificationError,
     WorkerCrashError,
 )
 
@@ -86,6 +94,12 @@ WorkItem = tuple[str, str, int, int]
 
 #: The per-check callable the runtime executes (the engine's ``_check_one_fec``).
 CheckFn = Callable[..., "Counterexample | None"]
+
+#: One verification context: ``(check_fn, compiled_specs, builder, options)``
+#: — what a worker needs besides the graph table to run any batch of it.
+Context = tuple[
+    CheckFn, dict[str, "CompiledSpec"], "StateAutomatonBuilder", "VerificationOptions"
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +164,11 @@ def _deadline(seconds: float | None) -> Generator[None, None, None]:
     Uses ``SIGALRM``/``setitimer`` where possible — worker processes execute
     batches on their main thread, so the preemptive guard is fully effective
     there.  On platforms without ``SIGALRM`` (Windows) and off the main
-    thread (embedded service runners, shard-local sessions, any threaded
-    caller), the guard used to be a silent no-op; it now falls back to a
-    cooperative monotonic-clock deadline polled by the product-walk loops in
-    :mod:`repro.automata.lazy`, so a hanging check is still cut off
-    in-thread — at step-boundary granularity rather than preemptively.
+    thread (the daemon's executor threads, any threaded caller), it falls
+    back to a cooperative monotonic-clock deadline polled by the
+    product-walk loops in :mod:`repro.automata.lazy`, so a hanging check is
+    still cut off in-thread — at step-boundary granularity rather than
+    preemptively.
     """
     if not seconds or seconds <= 0:
         yield
@@ -182,16 +196,17 @@ def _deadline(seconds: float | None) -> Generator[None, None, None]:
         signal.signal(signal.SIGALRM, previous)
 
 
+def _failure(fec_id: str, reason: str, detail: str, attempts: int = 1) -> CheckFailure:
+    return CheckFailure(fec_id, fec_id, reason, detail, attempts)
+
+
 #: Ceiling on one backoff sleep, so a misconfigured base cannot stall a run.
 _MAX_BACKOFF_SECONDS = 2.0
 
 
 def _run_one(
-    check_fn: CheckFn,
+    context: Context,
     item: WorkItem,
-    compiled_specs: dict[str, CompiledSpec],
-    builder: StateAutomatonBuilder,
-    options: VerificationOptions,
     graph_table: Sequence[ForwardingGraph],
     prior_attempts: dict[str, int],
     *,
@@ -205,6 +220,7 @@ def _run_one(
     failure record) sees is global across worker generations, not local
     to this process.  Returns ``(outcome, retries_used)``.
     """
+    check_fn, compiled_specs, builder, options = context
     fec_id, spec_key, pre_id, post_id = item
     fault_plan = options.fault_plan
     base = prior_attempts.get(fec_id, 0)
@@ -237,99 +253,70 @@ def _run_one(
             reason, detail = "crash", str(error)
         except Exception as error:  # noqa: BLE001 - absorbing arbitrary check failures is the job
             reason, detail = "error", f"{type(error).__name__}: {error}"
-    failure = CheckFailure(
-        fec_id=fec_id,
-        fec_description=fec_id,
-        reason=reason,
-        detail=detail,
-        attempts=base + max_attempts,
-    )
-    return failure, max_attempts - 1
+    return _failure(fec_id, reason, detail, base + max_attempts), max_attempts - 1
 
 
 # ----------------------------------------------------------------------
 # Worker-side machinery
 # ----------------------------------------------------------------------
-# Per-worker verification context, installed once by the pool initializer
-# so the compiled specs / builder / options / distinct-graph table are
-# pickled once per worker process instead of once per submitted batch.
-_WORKER_CONTEXT: (
-    tuple[
-        CheckFn,
-        dict[str, "CompiledSpec"],
-        "StateAutomatonBuilder",
-        "VerificationOptions",
-        list["ForwardingGraph"],
-        dict[str, int],
-    ]
-    | None
-) = None
+#: Verification contexts each *worker process* retains, LRU.  Sized for a
+#: busy multi-tenant daemon: most requests land on a handful of hot session
+#: contexts; a cold context costs one payload reship.
+WORKER_CONTEXT_LIMIT = 16
+#: Contexts (token + pickled payload) the parent keeps registered, LRU.
+PARENT_CONTEXT_LIMIT = 64
+
+# Worker-process-local context cache, token -> Context.  Filled from
+# submission payloads, never by a pool initializer, so one executor serves
+# every context.
+_CONTEXTS: OrderedDict[int, Context] = OrderedDict()
 
 
-def _init_worker(
-    check_fn: CheckFn,
-    compiled_specs: dict[str, CompiledSpec],
-    builder: StateAutomatonBuilder,
-    options: VerificationOptions,
-    graph_table: list[ForwardingGraph],
-    prior_attempts: dict[str, int],
-) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (
-        check_fn,
-        compiled_specs,
-        builder,
-        options,
-        graph_table,
-        prior_attempts,
-    )
+def _reset_signals() -> None:
+    """Worker initializer: drop the signal wiring a forked worker inherits.
+
+    An asyncio parent (the daemon) routes its signals through a wake-up fd
+    the fork shares, so the SIGTERM an executor sends its surviving workers
+    when one of them dies would reach the *daemon's* loop and drain it.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def run_batch(
-    check_fn: CheckFn,
-    compiled_specs: dict[str, CompiledSpec],
-    builder: StateAutomatonBuilder,
-    options: VerificationOptions,
+def _new_executor(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_reset_signals)
+
+
+def _run_batch(
+    token: int,
+    payload: bytes | None,
     graph_table: Sequence[ForwardingGraph],
     prior_attempts: dict[str, int],
     batch: Sequence[WorkItem],
-    *,
-    in_worker: bool = True,
-) -> list[tuple[str, Any, int]]:
-    """Run a batch of guarded checks against one verification context.
+) -> list[tuple[str, Any, int]] | None:
+    """Worker entry point: resolve the context by token, run the batch.
 
-    The shared worker-side body of both pool designs: the per-call
-    :class:`ResilientPool` (context installed by the pool initializer) and
-    the service's long-lived shared pool (context cached per worker, keyed
-    by token — see :mod:`repro.serve.pool`).  Each item is independently
-    guarded, so one failing check degrades to a :class:`CheckFailure` entry
-    without poisoning its batch siblings; the only batch-lethal event left
-    is a hard worker death, observed by the parent as ``BrokenProcessPool``.
+    Returns ``None`` when the token is unknown here and no payload was
+    attached (a fresh worker, or one that evicted it); the parent then
+    resubmits the batch with the pickled context.  Each item is
+    independently guarded, so one failing check degrades to a
+    :class:`CheckFailure` entry without poisoning its batch siblings; the
+    only batch-lethal event left is a hard worker death, observed by the
+    parent as ``BrokenProcessPool``.
     """
-    results: list[tuple[str, Any, int]] = []
-    for item in batch:
-        outcome, retries = _run_one(
-            check_fn,
-            item,
-            compiled_specs,
-            builder,
-            options,
-            graph_table,
-            prior_attempts,
-            in_worker=in_worker,
-        )
-        results.append((item[0], outcome, retries))
-    return results
-
-
-def _check_batch(batch: list[WorkItem]) -> list[tuple[str, Any, int]]:
-    """Initializer-pool worker entry point: run a batch of guarded checks."""
-    if _WORKER_CONTEXT is None:
-        raise VerificationError("worker process was not initialized")
-    check_fn, compiled_specs, builder, options, graph_table, prior = _WORKER_CONTEXT
-    return run_batch(
-        check_fn, compiled_specs, builder, options, graph_table, prior, batch
-    )
+    context = _CONTEXTS.get(token)
+    if context is None:
+        if payload is None:
+            return None
+        context = _CONTEXTS[token] = pickle.loads(payload)
+        while len(_CONTEXTS) > WORKER_CONTEXT_LIMIT:
+            _CONTEXTS.popitem(last=False)
+    else:
+        _CONTEXTS.move_to_end(token)
+    return [
+        (item[0], *_run_one(context, item, graph_table, prior_attempts, in_worker=True))
+        for item in batch
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -359,212 +346,304 @@ def _record(
 def _run_serial(
     items: Sequence[WorkItem],
     result: ExecutionResult,
-    options: VerificationOptions,
-    check_fn: CheckFn,
-    compiled_specs: dict[str, CompiledSpec],
-    builder: StateAutomatonBuilder,
+    context: Context,
     graph_table: Sequence[ForwardingGraph],
     prior_attempts: dict[str, int],
 ) -> None:
     for item in items:
         outcome, retries = _run_one(
-            check_fn,
-            item,
-            compiled_specs,
-            builder,
-            options,
-            graph_table,
-            prior_attempts,
-            in_worker=False,
+            context, item, graph_table, prior_attempts, in_worker=False
         )
-        _record(result, options, item[0], outcome, retries)
+        _record(result, context[3], item[0], outcome, retries)
 
 
 class ResilientPool:
-    """Run deduplicated work batches through a crash-surviving process pool.
+    """A crash-surviving process pool whose executor may outlive a call.
 
-    The pool is a *strategy*, not a long-lived object: one instance drives
-    one work list to completion.  Its loop has three modes:
+    The pool owns what is shared — the executor, its generation, the
+    token-addressed context registry and the counters — and is thread-safe:
+    the daemon's executor threads call :meth:`run` concurrently, their
+    submissions interleave on one executor, and a broken executor is
+    replaced once per generation however many runs observed the crash.
+    Everything belonging to one work list (crash exposure, pending batches,
+    rebuild budget) lives in a per-call :class:`_Run`, so runs sharing the
+    pool never see each other's accounting.  Use it as a context manager
+    for a per-call lifetime, or hold it and call :meth:`shutdown`.
+    """
 
-    * **gang mode** — all pending batches share one pool; results stream
-      back with ``as_completed``.  On ``BrokenProcessPool`` the completed
-      results are kept, every unfinished batch is bisected (a crash kills
-      a whole batch without naming the guilty check), and a fresh pool is
-      built whose workers learn each check's crash exposure so far.
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+        self._generation = 0
+        #: Tokens a clean gang round delivered to the current generation;
+        #: submissions for them omit the payload first.
+        self._published: set[int] = set()
+        # id()-keyed registry: key -> (token, payload, context).  Holding the
+        # context pins the ids, so a token never aliases a recycled object.
+        self._contexts: OrderedDict[tuple[int, ...], tuple[int, bytes, Context]] = (
+            OrderedDict()
+        )
+        self._stats = {
+            "pools_created": 0,
+            "pool_rebuilds": 0,
+            "contexts_registered": 0,
+            "context_payload_sends": 0,
+            "context_misses": 0,
+        }
+
+    def __enter__(self) -> ResilientPool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    def stats(self) -> dict[str, int]:
+        """A snapshot of the pool counters."""
+        with self._lock:
+            return dict(self._stats)
+
+    def shutdown(self) -> None:
+        """Stop the workers; futures not yet running are cancelled."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
+
+    def run(
+        self,
+        work: Sequence[WorkItem],
+        graph_table: Sequence[ForwardingGraph],
+        compiled_specs: dict[str, CompiledSpec],
+        builder: StateAutomatonBuilder,
+        options: VerificationOptions,
+        check_fn: CheckFn | None = None,
+    ) -> ExecutionResult:
+        """Drive one work list to completion (see :class:`_Run`)."""
+        context = (check_fn or _default_check_fn(), compiled_specs, builder, options)
+        run = _Run(self, context, graph_table)
+        run.drive(work)
+        return run.result
+
+    def _count(self, *counters: str) -> None:
+        with self._lock:
+            for counter in counters:
+                self._stats[counter] += 1
+
+    def _register(self, context: Context) -> tuple[int, bytes]:
+        """The context's token and pickled payload (pickled once, LRU-kept)."""
+        key = tuple(map(id, context))
+        with self._lock:
+            entry = self._contexts.get(key)
+            if entry is None:
+                token = self._stats["contexts_registered"]
+                entry = self._contexts[key] = (token, pickle.dumps(context), context)
+                self._stats["contexts_registered"] += 1
+                while len(self._contexts) > PARENT_CONTEXT_LIMIT:
+                    _, (evicted, _, _) = self._contexts.popitem(last=False)
+                    self._published.discard(evicted)
+            else:
+                self._contexts.move_to_end(key)
+            return entry[0], entry[1]
+
+    def _acquire(self, token: int) -> tuple[ProcessPoolExecutor, int, bool]:
+        """The live executor, its generation, and whether it knows ``token``."""
+        with self._lock:
+            if self._executor is None:
+                self._executor = _new_executor(self.workers)
+                self._generation += 1
+                self._stats["pools_created"] += 1
+                self._published.clear()
+            return self._executor, self._generation, token in self._published
+
+    def _release(self, token: int, generation: int, broken: bool) -> None:
+        """End a gang round: publish the token after a clean one, drop the
+        executor after a broken one — once per generation, however many
+        runs observed the same crash; the next :meth:`_acquire` rebuilds."""
+        with self._lock:
+            if self._generation != generation or self._executor is None:
+                return
+            if not broken:
+                self._published.add(token)
+                return
+            self._stats["pool_rebuilds"] += 1
+            # Reaped under the lock: workers forked for the next generation
+            # before this one is gone would inherit its pipes and keep its
+            # queue feeder — and so this shutdown — blocked for their lifetime.
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+class _Run:
+    """One work list's trip through a :class:`ResilientPool`.
+
+    The loop has three modes:
+
+    * **gang mode** — all pending batches share the pool's executor.  When
+      it breaks, the completed results are kept, every unfinished batch is
+      bisected (a crash kills a whole batch without naming the guilty
+      check), and the next round's submissions carry each check's crash
+      exposure so far, so attempt numbering is global across generations.
     * **isolation mode** — once every unfinished batch is a singleton
       *after at least one crash*, each suspect runs alone in a dedicated
-      single-worker pool: if that pool breaks, the check is the proven
+      single-worker executor: if that breaks, the check is the proven
       killer and is retried up to ``max_retries`` times before being
       recorded as a :class:`CheckFailure`.
-    * **serial fallback** — after ``max_pool_rebuilds`` gang-mode
-      rebuilds, the remaining work runs in-process (flagged
-      ``serial_fallback``/``degraded``), so repeated pool loss degrades
-      throughput instead of aborting the run.
+    * **serial fallback** — after ``max_pool_rebuilds`` rebuilds, the
+      remaining work runs in-process (flagged ``serial_fallback``/
+      ``degraded``), so repeated pool loss degrades throughput instead of
+      aborting the run.
 
-    All exit paths shut the executor down with ``cancel_futures=True`` —
-    a worker exception can no longer abandon in-flight futures during
-    context-manager teardown.
+    A run cancels its own pending futures on every exit path (clean drain,
+    broken executor, degradation-policy abort); it never shuts the shared
+    executor down under another run.
     """
 
     def __init__(
-        self,
-        options: VerificationOptions,
-        check_fn: CheckFn,
-        compiled_specs: dict[str, CompiledSpec],
-        builder: StateAutomatonBuilder,
-        graph_table: Sequence[ForwardingGraph],
+        self, pool: ResilientPool, context: Context, table: Sequence[ForwardingGraph]
     ) -> None:
-        self.options = options
-        self.check_fn = check_fn
-        self.compiled_specs = compiled_specs
-        self.builder = builder
-        self.graph_table = list(graph_table)
-        #: Pool breakages each check was in flight for (parent-tracked, so
-        #: the count survives worker generations and reaches fresh workers
-        #: through the initializer).
-        self.crash_exposure: dict[str, int] = {}
+        self.pool = pool
+        self.context = context
+        self.options = context[3]
+        self.token, self.payload = pool._register(context)
+        self.table = table
+        self.result = ExecutionResult()
+        #: Executor breakages each check was in flight for.
+        self.exposure: dict[str, int] = {}
 
-    def _initargs(self) -> tuple:
-        return (
-            self.check_fn,
-            self.compiled_specs,
-            self.builder,
-            self.options,
-            self.graph_table,
-            dict(self.crash_exposure),
-        )
-
-    def run(self, work: Sequence[WorkItem], result: ExecutionResult) -> None:
-        options = self.options
+    def drive(self, work: Sequence[WorkItem]) -> None:
+        options, result = self.options, self.result
+        # Batches follow the request's options, not the pool's width, so a
+        # crash bisects — and a report counts rebuilds — the same way
+        # whichever pool lifetime served it.
         chunk_size = max(1, len(work) // (options.workers * 4))
         batches = [
             list(work[i : i + chunk_size]) for i in range(0, len(work), chunk_size)
         ]
         while batches:
             if result.pool_rebuilds > max(0, options.max_pool_rebuilds):
-                self._serial_fallback(batches, result)
+                self._serial_fallback(batches)
                 return
             if result.pool_rebuilds > 0 and all(len(batch) == 1 for batch in batches):
-                self._run_isolated([batch[0] for batch in batches], result)
+                self._run_isolated([batch[0] for batch in batches])
                 return
-            broken = self._gang_round(batches, result)
-            if not broken:
+            if not self._gang_round(batches):
                 return
             result.pool_rebuilds += 1
-            batches = self._bisect_unfinished(batches, result)
+            batches = self._bisect_unfinished(batches)
 
-    def _gang_round(
-        self, batches: list[list[WorkItem]], result: ExecutionResult
-    ) -> bool:
-        """One shared-pool round; returns True when the pool broke."""
-        executor = ProcessPoolExecutor(
-            max_workers=self.options.workers,
-            initializer=_init_worker,
-            initargs=self._initargs(),
-        )
+    def _submit(
+        self, executor: ProcessPoolExecutor, batch: list[WorkItem], payload: bytes | None
+    ) -> Future:
+        prior = {
+            item[0]: crashes for item in batch if (crashes := self.exposure.get(item[0]))
+        }
+        # Ship only the graphs this batch names, renumbered densely, so a
+        # graph crosses the process boundary about once per run, not per batch.
+        refs = {ref for item in batch for ref in item[2:]}
+        local = {ref: index for index, ref in enumerate(refs)}
+        table = [self.table[ref] for ref in local]
+        items = [(fec, key, local[pre], local[post]) for fec, key, pre, post in batch]
+        return executor.submit(_run_batch, self.token, payload, table, prior, items)
+
+    def _collect(self, future: Future, batch: list[WorkItem]) -> bool:
+        """Fold a finished future in; False = the worker lacked the context."""
         try:
-            try:
-                futures = {
-                    executor.submit(_check_batch, batch): batch for batch in batches
-                }
-            except BrokenProcessPool:
-                return True
-            for future in as_completed(futures):
-                try:
-                    triples = future.result()
-                except BrokenProcessPool:
-                    return True
-                except Exception as error:  # noqa: BLE001 - batch-level failure, pool intact
-                    # The batch failed without killing the pool (e.g. an
-                    # unpicklable result): degrade its unfinished items,
-                    # keep draining the other futures.
-                    for item in futures[future]:
-                        if item[0] in result.outcomes:
-                            continue
-                        failure = CheckFailure(
-                            fec_id=item[0],
-                            fec_description=item[0],
-                            reason="error",
-                            detail=f"batch execution failed: "
-                            f"{type(error).__name__}: {error}",
-                        )
-                        _record(result, self.options, item[0], failure, 0)
-                    continue
-                for fec_id, outcome, retries in triples:
-                    _record(result, self.options, fec_id, outcome, retries)
+            triples = future.result()
+        except BrokenProcessPool:
+            raise
+        except Exception as error:  # noqa: BLE001 - batch-level failure, executor intact
+            # The batch failed without killing its worker (e.g. an
+            # unpicklable result): degrade its unfinished items.
+            detail = f"batch execution failed: {type(error).__name__}: {error}"
+            triples = [
+                (item[0], _failure(item[0], "error", detail), 0)
+                for item in batch
+                if item[0] not in self.result.outcomes
+            ]
+        if triples is None:
             return False
+        for fec_id, outcome, retries in triples:
+            _record(self.result, self.options, fec_id, outcome, retries)
+        return True
+
+    def _gang_round(self, batches: list[list[WorkItem]]) -> bool:
+        """One shared-executor round; returns True when the executor broke."""
+        pool = self.pool
+        executor, generation, published = pool._acquire(self.token)
+        payload = None if published else self.payload
+        if payload is not None:
+            pool._count("context_payload_sends")
+        pending: dict[Future, list[WorkItem]] = {}
+        broken = False
+        try:
+            for batch in batches:
+                pending[self._submit(executor, batch, payload)] = batch
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    batch = pending.pop(future)
+                    try:
+                        delivered = self._collect(future, batch)
+                    except BrokenProcessPool:
+                        broken = True  # keep draining: finished siblings count
+                        continue
+                    if not delivered:
+                        # A worker without this context picked the batch
+                        # up: resubmit with the payload attached.
+                        pool._count("context_misses", "context_payload_sends")
+                        pending[self._submit(executor, batch, self.payload)] = batch
+        except RuntimeError:
+            # ``submit`` refused: the executor broke (BrokenProcessPool is a
+            # RuntimeError) or another run's rebuild already shut it down.
+            broken = True
         finally:
-            # The lifecycle guarantee: pending futures are cancelled on
-            # every exit path (clean drain, broken pool, degradation
-            # policy abort), never abandoned to interpreter teardown.
-            executor.shutdown(cancel_futures=True)
+            for future in pending:
+                future.cancel()
+            pool._release(self.token, generation, broken)
+        return broken
 
-    def _bisect_unfinished(
-        self, batches: list[list[WorkItem]], result: ExecutionResult
-    ) -> list[list[WorkItem]]:
+    def _bisect_unfinished(self, batches: list[list[WorkItem]]) -> list[list[WorkItem]]:
         """Halve every batch the crash left unfinished, tracking exposure."""
-        next_batches: list[list[WorkItem]] = []
+        halves: list[list[WorkItem]] = []
         for batch in batches:
-            remaining = [item for item in batch if item[0] not in result.outcomes]
-            if not remaining:
-                continue
+            remaining = [item for item in batch if item[0] not in self.result.outcomes]
             for item in remaining:
-                self.crash_exposure[item[0]] = self.crash_exposure.get(item[0], 0) + 1
-            if len(remaining) == 1:
-                next_batches.append(remaining)
-            else:
-                mid = (len(remaining) + 1) // 2
-                next_batches.append(remaining[:mid])
-                next_batches.append(remaining[mid:])
-        return next_batches
+                self.exposure[item[0]] = self.exposure.get(item[0], 0) + 1
+            mid = (len(remaining) + 1) // 2
+            halves += [half for half in (remaining[:mid], remaining[mid:]) if half]
+        return halves
 
-    def _run_isolated(
-        self, items: Sequence[WorkItem], result: ExecutionResult
-    ) -> None:
-        """Run crash suspects one at a time, each in its own pool.
+    def _run_isolated(self, items: Sequence[WorkItem]) -> None:
+        """Run crash suspects one at a time, each in its own executor.
 
-        With exactly one check in flight, a broken pool *is* attribution:
-        the check killed its worker.  Retried up to ``max_retries`` total
-        crashes (counting gang-mode exposure), then recorded as unknown.
+        With exactly one check in flight, a broken executor *is*
+        attribution: the check killed its worker.  Retried up to
+        ``max_retries`` total crashes (counting gang-mode exposure), then
+        recorded as unknown.
         """
         retry_budget = max(0, self.options.max_retries)
         for item in items:
             fec_id = item[0]
-            while fec_id not in result.outcomes:
-                executor = ProcessPoolExecutor(
-                    max_workers=1, initializer=_init_worker, initargs=self._initargs()
-                )
+            while fec_id not in self.result.outcomes:
+                executor = _new_executor(1)
                 try:
-                    triples = executor.submit(_check_batch, [item]).result()
+                    self._collect(self._submit(executor, [item], self.payload), [item])
                 except BrokenProcessPool:
-                    result.pool_rebuilds += 1
-                    crashes = self.crash_exposure.get(fec_id, 0) + 1
-                    self.crash_exposure[fec_id] = crashes
+                    self.result.pool_rebuilds += 1
+                    crashes = self.exposure[fec_id] = self.exposure.get(fec_id, 0) + 1
                     if crashes > retry_budget:
-                        failure = CheckFailure(
-                            fec_id=fec_id,
-                            fec_description=fec_id,
-                            reason="crash",
-                            detail=f"worker process died {crashes} times "
-                            "running this check",
-                            attempts=crashes,
-                        )
-                        _record(result, self.options, fec_id, failure, 0)
-                    continue
+                        detail = f"worker process died {crashes} times running this check"
+                        failure = _failure(fec_id, "crash", detail, crashes)
+                        _record(self.result, self.options, fec_id, failure, 0)
                 finally:
                     executor.shutdown(cancel_futures=True)
-                for fec, outcome, retries in triples:
-                    _record(result, self.options, fec, outcome, retries)
 
-    def _serial_fallback(
-        self, batches: list[list[WorkItem]], result: ExecutionResult
-    ) -> None:
-        """Give up on worker pools for this run; finish in-process."""
+    def _serial_fallback(self, batches: list[list[WorkItem]]) -> None:
+        """Give up on worker processes for this run; finish in-process."""
+        result = self.result
         remaining = [
-            item
-            for batch in batches
-            for item in batch
-            if item[0] not in result.outcomes
+            item for batch in batches for item in batch if item[0] not in result.outcomes
         ]
         if not self.options.allow_degraded:
             raise DegradedExecutionError(
@@ -574,16 +653,14 @@ class ResilientPool:
             )
         result.serial_fallback = True
         result.degraded = True
-        _run_serial(
-            remaining,
-            result,
-            self.options,
-            self.check_fn,
-            self.compiled_specs,
-            self.builder,
-            self.graph_table,
-            self.crash_exposure,
-        )
+        _run_serial(remaining, result, self.context, self.table, self.exposure)
+
+
+def _default_check_fn() -> CheckFn:
+    """The engine's per-FEC check (imported lazily: the engine imports us)."""
+    from repro.verifier.engine import _check_one_fec
+
+    return _check_one_fec
 
 
 def execute_checks(
@@ -596,34 +673,22 @@ def execute_checks(
 ) -> ExecutionResult:
     """Run the deduplicated work list with fault tolerance.
 
-    The drop-in successor of the engine's bare executor loop: serial runs
-    index the graph table in-process under the same deadline/retry guard
-    the workers use; parallel runs go through :class:`ResilientPool`.
-    Every work item is guaranteed an entry in ``outcomes`` — a pass, a
-    counterexample, or a :class:`CheckFailure` — unless degradation is
-    disabled, in which case the first failure raises
-    :class:`~repro.errors.DegradedExecutionError`.
+    ``unique_work`` holds one ``(fec_id, spec_key, pre id, post id)`` item
+    per distinct (spec, graph pair) combination, with ids indexing
+    ``graph_table``.  Serial runs index the table in-process under the same
+    deadline/retry guard the workers use; parallel runs go through a
+    :class:`ResilientPool` that lives for this call.  Every work item is
+    guaranteed an entry in ``outcomes`` — a pass, a counterexample, or a
+    :class:`CheckFailure` — unless degradation is disabled, in which case
+    the first failure raises :class:`~repro.errors.DegradedExecutionError`.
+    The session's ``runner`` seam defaults to this function.
     """
-    if check_fn is None:
-        from repro.verifier.engine import _check_one_fec
-
-        check_fn = _check_one_fec
-    result = ExecutionResult()
-    if not unique_work:
-        return result
     if options.workers <= 1 or len(unique_work) <= 1:
-        _run_serial(
-            unique_work,
-            result,
-            options,
-            check_fn,
-            compiled_specs,
-            builder,
-            graph_table,
-            {},
-        )
+        result = ExecutionResult()
+        context = (check_fn or _default_check_fn(), compiled_specs, builder, options)
+        _run_serial(unique_work, result, context, graph_table, {})
         return result
-    ResilientPool(options, check_fn, compiled_specs, builder, graph_table).run(
-        unique_work, result
-    )
-    return result
+    with ResilientPool(options.workers) as pool:
+        return pool.run(
+            unique_work, graph_table, compiled_specs, builder, options, check_fn
+        )

@@ -60,14 +60,13 @@ from repro.verifier.engine import (
     CompiledSpec,
     VerificationOptions,
     _as_policy,
-    _execute_unique_checks,
     _policy_specs,
     _relabel,
     _spec_symbols,
     compile_spec,
 )
 from repro.verifier.report import StreamReport, VerificationReport
-from repro.verifier.runtime import CheckFailure, ExecutionResult
+from repro.verifier.runtime import CheckFailure, ExecutionResult, execute_checks
 from repro.verifier.state_automata import StateAutomatonBuilder, build_alphabet
 
 #: Epoch-local identity of one check: ``(spec key, pre ref, post ref)`` when
@@ -159,13 +158,13 @@ class VerificationSession:
         #: Cumulative report over every ``advance`` call.
         self.stream = StreamReport(max_retained_reports=report_history)
         #: Execution hook for the deduplicated work list.  ``None`` (the
-        #: default) runs :func:`~repro.verifier.engine._execute_unique_checks`
-        #: — a per-call :class:`~repro.verifier.runtime.ResilientPool`.  The
-        #: verification service installs a shared
-        #: :meth:`repro.serve.pool.PoolManager.runner` here so many sessions
-        #: reuse one long-lived worker pool across requests.  The hook must
-        #: be report-transparent (same outcomes a per-call pool produces);
-        #: it is runtime plumbing, never persisted by save/load.
+        #: default) runs :func:`~repro.verifier.runtime.execute_checks` — a
+        #: :class:`~repro.verifier.runtime.ResilientPool` that lives for
+        #: the call.  The verification service installs
+        #: :meth:`repro.serve.pool.PoolManager.execute` here so many
+        #: sessions share one pool that lives for the daemon.  The hook must
+        #: be report-transparent; it is runtime plumbing, never persisted
+        #: by save/load.
         self.runner: Callable[..., "ExecutionResult"] | None = None
 
         self._current = initial
@@ -344,8 +343,8 @@ class VerificationSession:
 
         if to_check:
             # Compact the work list's session refs into a dense table: the
-            # serial path indexes it in-process, the worker path ships it to
-            # each worker exactly once via the pool initializer.
+            # serial path indexes it in-process, the worker path ships each
+            # batch the graphs it names.
             table: list[ForwardingGraph] = []
             table_ids: dict[int, int] = {}
 
@@ -361,8 +360,7 @@ class VerificationSession:
                 (fec_id, spec_key, table_id(pre_ref), table_id(post_ref))
                 for fec_id, spec_key, pre_ref, post_ref in to_check
             ]
-            execute = self.runner if self.runner is not None else _execute_unique_checks
-            fresh = execute(
+            fresh = (self.runner or execute_checks)(
                 work, table, context.compiled_specs, context.builder, options
             )
             for fec_id, spec_key, pre_ref, post_ref in to_check:

@@ -112,6 +112,49 @@ def _mention_refs(snapshot: Snapshot, names: set[str]) -> set[int]:
     }
 
 
+def _shift_snapshot(
+    pre: Snapshot,
+    mapping: dict[str, str],
+    *,
+    name: str,
+    leave_unmoved: int = 0,
+) -> tuple[Snapshot, int]:
+    """Rename routers per ``mapping`` in every graph mentioning a source.
+
+    One rename per *distinct* affected graph; every FEC sharing that graph
+    shares the renamed result (the copy-on-write snapshot plus the interning
+    store keep this O(#unique graphs)).  ``leave_unmoved`` keeps the first N
+    affected FECs on their old paths — the incomplete-move bug — and the
+    number actually left is returned alongside the new snapshot.  Only FECs
+    whose paths avoid every *target* router count: a path already traversing
+    the targets satisfies ``any(through targets)`` unmoved, so leaving it
+    would not be a spec-visible bug and ``expect_holds`` could not be
+    asserted from the count.
+    """
+    post = pre.copy(name=name)
+    affected_refs = _mention_refs(pre, set(mapping))
+    detectable_refs = (
+        affected_refs - _mention_refs(pre, set(mapping.values()))
+        if leave_unmoved
+        else set()
+    )
+    renamed: dict[int, ForwardingGraph] = {}
+    left = 0
+    for fec_id in pre.fec_ids():
+        ref = pre.graph_ref(fec_id)
+        if ref not in affected_refs:
+            continue
+        if left < leave_unmoved and ref in detectable_refs:
+            left += 1
+            continue
+        moved = renamed.get(ref)
+        if moved is None:
+            moved = _rename_nodes(pre.store.graph(ref), mapping)
+            renamed[ref] = moved
+        post.replace(fec_id, moved)
+    return post, left
+
+
 # ----------------------------------------------------------------------
 # Archetypes
 # ----------------------------------------------------------------------
@@ -158,9 +201,10 @@ def traffic_shift(
 
     The spec is the prioritized union of a shift spec for the affected zone
     and ``nochange`` for everything else.  ``buggy_leave_unmoved`` leaves the
-    first N affected flows on their old paths (an incomplete move, like v1 of
-    the paper's example); ``buggy_collateral`` perturbs N unaffected flows
-    (collateral damage, like v2).
+    first N affected flows that avoid ``to_routers`` on their old paths (an
+    incomplete move, like v1 of the paper's example; see
+    :func:`_shift_snapshot`); ``buggy_collateral`` perturbs N unaffected
+    flows (collateral damage, like v2).
     """
     if not from_routers or not to_routers:
         raise WorkloadError("traffic_shift needs non-empty router lists")
@@ -168,41 +212,20 @@ def traffic_shift(
         src: to_routers[index % len(to_routers)] for index, src in enumerate(from_routers)
     }
     from_set = set(from_routers)
-    to_set = set(to_routers)
-
-    post = pre.copy(name=f"{pre.name}-post")
-    affected_refs = _mention_refs(pre, from_set)
-    affected: list[str] = []
-    unaffected: list[str] = []
-    for fec_id in pre.fec_ids():
-        if pre.graph_ref(fec_id) in affected_refs:
-            affected.append(fec_id)
-        else:
-            unaffected.append(fec_id)
-    # Rename each distinct affected graph once; every FEC sharing that graph
-    # shares the renamed (and re-interned) result.
-    renamed: dict[int, ForwardingGraph] = {}
-    left_unmoved = 0
-    for index, fec_id in enumerate(affected):
-        if index < buggy_leave_unmoved:
-            left_unmoved += 1
-            continue
-        ref = pre.graph_ref(fec_id)
-        moved = renamed.get(ref)
-        if moved is None:
-            moved = _rename_nodes(pre.store.graph(ref), mapping)
-            renamed[ref] = moved
-        post.replace(fec_id, moved)
+    post, left_unmoved = _shift_snapshot(
+        pre, mapping, name=f"{pre.name}-post", leave_unmoved=buggy_leave_unmoved
+    )
     # Collateral damage is injected as a blackhole of an unrelated flow: that
     # is always a spec violation, whereas merely re-routing a flow that
     # already traverses the target routers would be tolerated by ``any``.
     collateral_injected = 0
     blackhole = make_drop_graph(granularity=pre.granularity)
-    for fec_id in unaffected:
+    for fec_id in pre.fec_ids():
         if collateral_injected >= buggy_collateral:
             break
-        post.replace(fec_id, blackhole)
-        collateral_injected += 1
+        if not _graph_mentions(pre.graph(fec_id), from_set):
+            post.replace(fec_id, blackhole)
+            collateral_injected += 1
 
     shift_spec = atomic(
         seq(any_hops(), locs(from_set), any_hops()),

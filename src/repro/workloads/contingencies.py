@@ -61,7 +61,8 @@ from repro.verifier.contingency import (
 from repro.verifier.engine import VerificationOptions
 from repro.workloads.backbone import Backbone
 from repro.workloads.scale import scale_fec_list
-from repro.workloads.stream import _drain_spec, _shift_snapshot
+from repro.workloads.changes import _shift_snapshot
+from repro.workloads.stream import _drain_spec
 
 
 @dataclass(slots=True)

@@ -52,11 +52,10 @@ from repro.rela import (
     seq,
 )
 from repro.rela.locations import Granularity
-from repro.snapshots.forwarding_graph import ForwardingGraph
 from repro.snapshots.forwarding_graph import drop_graph as make_drop_graph
 from repro.snapshots.snapshot import Snapshot
 from repro.workloads.backbone import Backbone, BackboneParams, generate_backbone
-from repro.workloads.changes import _mention_refs, _rename_nodes
+from repro.workloads.changes import _shift_snapshot
 from repro.workloads.scale import generate_scale_snapshot
 
 
@@ -150,49 +149,8 @@ class StreamProfile:
 
 
 # ----------------------------------------------------------------------
-# Graph surgery shared by the families
+# Specs shared by the families
 # ----------------------------------------------------------------------
-def _shift_snapshot(
-    pre: Snapshot,
-    mapping: dict[str, str],
-    *,
-    name: str,
-    leave_unmoved: int = 0,
-) -> tuple[Snapshot, int]:
-    """Rename routers per ``mapping`` in every graph mentioning a source.
-
-    One rename per *distinct* affected graph; every FEC sharing that graph
-    shares the renamed result (the copy-on-write snapshot plus the interning
-    store keep this O(#unique graphs)).  ``leave_unmoved`` keeps the first N
-    affected FECs on their old paths — the incomplete-move bug — and the
-    number actually left is returned alongside the new snapshot.  Only FECs
-    whose paths avoid every *target* router count: a path already traversing
-    the targets satisfies ``any(through targets)`` unmoved, so leaving it
-    would not be a spec-visible bug and ``expect_holds`` could not be
-    asserted from the count.
-    """
-    from_set = set(mapping)
-    to_set = set(mapping.values())
-    post = pre.copy(name=name)
-    affected_refs = _mention_refs(pre, from_set)
-    detectable_refs = affected_refs - _mention_refs(pre, to_set)
-    renamed: dict[int, ForwardingGraph] = {}
-    left = 0
-    for fec_id in pre.fec_ids():
-        ref = pre.graph_ref(fec_id)
-        if ref not in affected_refs:
-            continue
-        if left < leave_unmoved and ref in detectable_refs:
-            left += 1
-            continue
-        moved = renamed.get(ref)
-        if moved is None:
-            moved = _rename_nodes(pre.store.graph(ref), mapping)
-            renamed[ref] = moved
-        post.replace(fec_id, moved)
-    return post, left
-
-
 def _drain_spec(from_routers: list[str], to_routers: list[str], *, name: str) -> RelaSpec:
     """Traffic through ``from_routers`` must move onto ``to_routers``."""
     shift = atomic(

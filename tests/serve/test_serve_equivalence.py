@@ -198,6 +198,49 @@ def test_one_shot_verify_worker_path(stream_world, daemon, make_epochs):
     assert wire_bytes(response.payload["report"]) == report_bytes(direct)
 
 
+@pytest.mark.parametrize("attempts", [1, POISON], ids=["transient", "poison"])
+def test_worker_crash_in_shared_pool_byte_identical(
+    stream_world, daemon, make_epochs, attempts
+):
+    """A worker death inside the daemon's pool is recovered there.
+
+    Crash exposure rides with every batch, so the shared pool numbers a
+    re-run check's attempts exactly as the per-call pool does: the served
+    report (rebuild count and ``CheckFailure.attempts`` included) equals
+    ``verify_change``'s, and the rebuilt pool serves the next request.
+    """
+    _backbone, initial = stream_world
+    post, spec = make_epochs(epochs=1, buggy_epochs=frozenset())[0]
+    plan = FaultPlan((Fault(kind="crash", fec_id=initial.fec_ids()[0], attempts=attempts),))
+    options = VerificationOptions(
+        workers=2, retry_backoff=0.0, memoize_fec_checks=False, fault_plan=plan
+    )
+    client = daemon.client()
+    body = {
+        "pre": {"data": initial.to_dict()},
+        "post": {"data": post.to_dict()},
+        "spec": protocol.pickle_b64(spec),
+    }
+    response = client.verify({**body, "options": protocol.pickle_b64(options)})
+    assert response.status == 200, response.payload
+    direct = verify_change(initial, post, spec, options=options)
+    assert direct.pool_rebuilds >= 1
+    assert direct.degraded is (attempts == POISON)
+    assert wire_bytes(response.payload["report"]) == report_bytes(direct)
+    crashed = client.healthz().payload["pool"]
+    assert crashed["pool_rebuilds"] >= 1
+    assert crashed["bypassed_requests"] == 0
+
+    response = client.verify({**body, "options": {"workers": 2}})
+    assert response.status == 200, response.payload
+    clean = verify_change(initial, post, spec, options=VerificationOptions(workers=2))
+    assert wire_bytes(response.payload["report"]) == report_bytes(clean)
+    after = client.healthz().payload["pool"]
+    assert after["requests"] == crashed["requests"] + 1
+    assert after["bypassed_requests"] == 0
+    assert after["pool_rebuilds"] == crashed["pool_rebuilds"]
+
+
 # ----------------------------------------------------------------------
 # Contingency sweeps
 # ----------------------------------------------------------------------
@@ -245,10 +288,10 @@ def test_runner_seam_defaults_to_engine_path(stream_world, make_epochs):
     calls = []
 
     def spying_runner(work, table, compiled_specs, builder, options):
-        from repro.verifier.engine import _execute_unique_checks
+        from repro.verifier.runtime import execute_checks
 
         calls.append(len(work))
-        return _execute_unique_checks(work, table, compiled_specs, builder, options)
+        return execute_checks(work, table, compiled_specs, builder, options)
 
     spied = VerificationSession(initial)
     spied.runner = spying_runner

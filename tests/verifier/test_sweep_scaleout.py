@@ -1,15 +1,12 @@
-"""Combinatorial sweep scale-out: incremental derivation, shards, first-worst.
+"""Combinatorial sweep scale-out: incremental derivation, first-worst.
 
-Three mechanisms let ``ContingencySweep`` take on the k=2/k=3 failure
+Two mechanisms let ``ContingencySweep`` take on the k=2/k=3 failure
 spaces, and each carries a byte-identity obligation this suite pins:
 
 * **Incremental lattice derivation** — a k-failure snapshot derived from
   its (k−1)-failure parent must be content-identical to the from-baseline
   scan (and to full re-simulation), at every k.  A stale ``under_failure``
   memo or an unsound changed-router criterion shows up here first.
-* **Sharded speculative execution** — ``run(shards=N)`` must produce a
-  report byte-for-byte equal to the serial run's, across shard counts,
-  worker counts and memoization settings; shard death only costs time.
 * **Prioritized first-worst search** — ``run(first_worst=True)`` is a
   search *order*, not a semantics change: run to completion it must agree
   with the exhaustive sweep on every order-independent fact, and the
@@ -23,11 +20,8 @@ import itertools
 
 import pytest
 
-from repro.errors import VerificationError
 from repro.network.simulator import Simulator, group_fec_combos
-from repro.rela.locations import Granularity
 from repro.verifier import VerificationOptions, k_link_failures, single_link_failures
-from repro.verifier.contingency import _ReplayRunner
 from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.contingencies import (
     drain_sweep_scenario,
@@ -120,86 +114,34 @@ def test_incremental_derivation_is_byte_identical(world, k):
             assert fp == resimulated.graph(fec.fec_id).fingerprint(), fec.fec_id
 
 
-@pytest.mark.parametrize("buggy", [False, True], ids=["clean", "buggy"])
-def test_incremental_sweep_equals_legacy_sweep(world, buggy):
-    """The sweep-level differential: ``incremental=True`` (the default
-    lattice path) and ``incremental=False`` (from-baseline derivation)
-    agree on every report fact, dedup accounting included."""
-    backbone, _ = world
-    candidates = intra_region_bundles(backbone)
-    contingencies = single_link_failures(backbone.topology, candidates=candidates)
-    contingencies += k_link_failures(backbone.topology, 2, candidates=candidates, limit=4)
-
-    def run(incremental):
-        scenario = drain_sweep_scenario(backbone, num_fecs=96, buggy=buggy)
-        return scenario.sweep(list(contingencies), incremental=incremental).run()
-
-    assert sweep_facts(run(True)) == sweep_facts(run(False))
-
-
-# ----------------------------------------------------------------------
-# Sharded speculative execution: byte-identical to serial
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "shards,workers,memoize",
-    [(2, 1, True), (4, 1, True), (2, 2, True), (2, 1, False)],
-    ids=["shards2", "shards4", "shards2-workers2", "shards2-memoize-off"],
+    "buggy,workers",
+    [(False, 1), (True, 1), (True, 2)],
+    ids=["clean", "buggy", "buggy-workers2"],
 )
-def test_sharded_sweep_equals_serial_sweep(world, shards, workers, memoize):
+def test_incremental_sweep_equals_legacy_sweep(world, buggy, workers):
+    """The sweep-level differential: ``incremental=True`` (the default
+    lattice path, serial or through the worker pool) and
+    ``incremental=False`` (from-baseline derivation, serial) agree on every
+    report fact, dedup accounting and execution order included."""
     backbone, _ = world
     candidates = intra_region_bundles(backbone)
     contingencies = single_link_failures(backbone.topology, candidates=candidates)
     contingencies += k_link_failures(backbone.topology, 2, candidates=candidates, limit=4)
-    options = VerificationOptions(
-        granularity=Granularity.GROUP, workers=workers, memoize_fec_checks=memoize
-    )
 
-    def run(n):
-        scenario = drain_sweep_scenario(backbone, num_fecs=96, buggy=True)
-        report = scenario.sweep(list(contingencies), options=options).run(shards=n)
-        assert report.shards == n
-        return report
+    def run(incremental, workers=1):
+        scenario = drain_sweep_scenario(backbone, num_fecs=96, buggy=buggy)
+        options = VerificationOptions(granularity=scenario.granularity, workers=workers)
+        sweep = scenario.sweep(
+            list(contingencies), options=options, incremental=incremental
+        )
+        return sweep.run()
 
-    serial, sharded = run(1), run(shards)
-    assert sweep_facts(sharded) == sweep_facts(serial)
-    # Execution order is also preserved, not just the sorted facts.
-    assert [r.contingency.contingency_id for r in sharded.results] == [
-        r.contingency.contingency_id for r in serial.results
+    lattice, legacy = run(True, workers), run(False)
+    assert sweep_facts(lattice) == sweep_facts(legacy)
+    assert [r.contingency.contingency_id for r in lattice.results] == [
+        r.contingency.contingency_id for r in legacy.results
     ]
-
-
-def test_shards_speculate_and_serve_verdicts(world, monkeypatch):
-    """With memoization on, the sharded run's serial phase is served from
-    the speculated verdict map — the replay runner executes nothing."""
-    backbone, _ = world
-    import repro.verifier.contingency as contingency_module
-
-    stats: dict[str, int] = {}
-
-    class SpyRunner(_ReplayRunner):
-        def __call__(self, *args, **kwargs):
-            result = super().__call__(*args, **kwargs)
-            stats["served"] = self.served
-            stats["executed"] = self.executed
-            return result
-
-    monkeypatch.setattr(contingency_module, "_ReplayRunner", SpyRunner)
-    scenario = drain_sweep_scenario(backbone, num_fecs=96)
-    candidates = intra_region_bundles(backbone)
-    contingencies = single_link_failures(backbone.topology, candidates=candidates)
-    scenario.sweep(contingencies).run(shards=2)
-    assert stats["served"] > 0
-    assert stats["executed"] == 0
-
-
-def test_shards_validation(world):
-    backbone, _ = world
-    scenario = drain_sweep_scenario(backbone, num_fecs=24)
-    sweep = scenario.sweep(
-        single_link_failures(backbone.topology, candidates=intra_region_bundles(backbone)[:1])
-    )
-    with pytest.raises(VerificationError, match="shard"):
-        sweep.run(shards=0)
 
 
 # ----------------------------------------------------------------------

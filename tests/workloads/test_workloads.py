@@ -1,5 +1,7 @@
 """Tests for the synthetic backbone, traffic and change-scenario generators."""
 
+import itertools
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -17,6 +19,7 @@ from repro.workloads import (
     prefix_decommission,
     traffic_shift,
 )
+from repro.workloads.scale import ScaleProfile, generate_scale_snapshot, scale_backbone
 from repro.workloads.traffic import fecs_to_region
 
 
@@ -118,6 +121,27 @@ def test_traffic_shift_scenarios(small_backbone):
 
     with pytest.raises(WorkloadError):
         traffic_shift(pre, [], to_routers)
+
+
+def test_incomplete_shift_expectation_holds_for_every_region_pair():
+    """``buggy_leave_unmoved`` must leave a flow whose staying put the spec
+    can see.  On the 8-region scale backbone the first affected class of 21
+    of the 56 ordered region pairs already crosses the target borders on an
+    ECMP path, so leaving *it* unmoved is compliant."""
+    backbone = scale_backbone(ScaleProfile(num_fecs=112))
+    pre = generate_scale_snapshot(backbone, num_fecs=112)
+    pairs = list(itertools.permutations(backbone.regions(), 2))
+    assert len(pairs) == 56
+    for source, target in pairs:
+        scenario = traffic_shift(
+            pre,
+            backbone.routers_in(source, "border"),
+            backbone.routers_in(target, "border"),
+            buggy_leave_unmoved=1,
+        )
+        assert scenario.expect_holds is False, (source, target)
+        report = verify_change(scenario.pre, scenario.post, scenario.spec)
+        assert report.holds == scenario.expect_holds, (source, target)
 
 
 def test_multi_shift_scenario(small_backbone):
