@@ -40,7 +40,11 @@ class Prefix:
         return _parse_cached(value)
 
     def __str__(self) -> str:
-        return f"{ipaddress.IPv4Address(self.network)}/{self.length}"
+        network = self.network
+        return (
+            f"{network >> 24 & 255}.{network >> 16 & 255}."
+            f"{network >> 8 & 255}.{network & 255}/{self.length}"
+        )
 
     # ------------------------------------------------------------------
     # Relations

@@ -20,12 +20,12 @@ The output is, per router and prefix, the set of selected routes, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.errors import RoutingError
 from repro.network.addressing import Prefix
-from repro.network.igp import shortest_path_costs
+from repro.network.igp import IgpCostCache
 from repro.network.policy import PolicyAction, RoutePolicy, permit_all
 from repro.network.topology import Topology
 
@@ -47,10 +47,6 @@ class Route:
     #: The router at which traffic exits toward the prefix (the eBGP exit or
     #: the originating router).
     exit_router: str = ""
-
-    def key(self) -> tuple[int, int]:
-        """Selection key fragments that are comparable network-wide."""
-        return (-self.local_pref, len(self.as_path))
 
 
 @dataclass(slots=True)
@@ -117,10 +113,13 @@ class NetworkConfig:
 SelectedRoutes = dict[str, dict[Prefix, list[Route]]]
 
 
-#: Shared permissive policy used when a neighbor has no explicit policy.
-#: :class:`RoutePolicy` evaluation is read-only, so one instance is safe to
-#: share across every router and round.
-_PERMIT_ALL = permit_all()
+#: One BGP session of a router: ``(peer, is_ebgp, export policy, import
+#: policy, the peer's default local preference)``; a policy is ``None`` when
+#: the session has none in that direction.
+Session = tuple[str, bool, RoutePolicy | None, RoutePolicy | None, int]
+
+#: The selection cost of an exit the router cannot reach over the IGP.
+UNREACHABLE = 1 << 30
 
 
 class BGPComputation:
@@ -130,53 +129,41 @@ class BGPComputation:
         self.topology = topology
         self.config = config
         self.max_rounds = max_rounds or (2 * topology.num_routers + 10)
-        self._igp_costs: dict[str, dict[str, int]] = {}
-        self._asn_cache: dict[str, int] | None = None
-        self._session_cache: dict[str, list[tuple[str, bool]]] = {}
-        self._config_cache: dict[str, RouterConfig] = {}
+        self._igp = IgpCostCache(topology)
+        self._asn = {router.name: router.asn for router in topology}
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _asn(self, router: str) -> int:
-        cache = self._asn_cache
-        if cache is None:
-            cache = self._asn_cache = {entry.name: entry.asn for entry in self.topology}
-        return cache[router]
-
-    def _router_config(self, name: str) -> RouterConfig:
-        cached = self._config_cache.get(name)
-        if cached is None:
-            cached = self._config_cache[name] = self.config.router(name)
-        return cached
-
-    def _igp_cost(self, source: str, target: str) -> int:
-        if source == target:
-            return 0
-        if source not in self._igp_costs:
-            self._igp_costs[source] = shortest_path_costs(self.topology, source)
-        return self._igp_costs[source].get(target, 1 << 30)
-
-    def _sessions(self, router: str) -> list[tuple[str, bool]]:
-        """Peers of ``router`` as (peer, is_ebgp) pairs.
+    def _sessions(self) -> dict[str, list[Session]]:
+        """Every router's BGP sessions.
 
         eBGP sessions exist between physically adjacent routers in different
-        ASes; iBGP sessions form an implicit full mesh within an AS.  The
-        session set depends only on the (immutable) topology, so it is
-        memoized per router.
+        ASes; iBGP sessions form an implicit full mesh within an AS.
         """
-        cached = self._session_cache.get(router)
-        if cached is not None:
-            return cached
-        sessions: list[tuple[str, bool]] = []
-        own_asn = self._asn(router)
-        for neighbor in sorted(self.topology.neighbors(router)):
-            if self._asn(neighbor) != own_asn:
-                sessions.append((neighbor, True))
-        for other in self.topology.routers_in_asn(own_asn):
-            if other.name != router:
-                sessions.append((other.name, False))
-        self._session_cache[router] = sessions
+        configs = {entry.name: entry for entry in self.config.routers()}
+        unconfigured = RouterConfig(name="")
+        members: dict[int, list[str]] = {}
+        for name, asn in self._asn.items():
+            members.setdefault(asn, []).append(name)
+        sessions: dict[str, list[Session]] = {}
+        for name, asn in self._asn.items():
+            peers = [
+                (neighbor, True)
+                for neighbor in sorted(self.topology.neighbors(name))
+                if self._asn[neighbor] != asn
+            ]
+            peers += [(other, False) for other in members[asn] if other != name]
+            exports = configs.get(name, unconfigured).export_policies
+            sessions[name] = []
+            for peer, is_ebgp in peers:
+                peer_config = configs.get(peer, unconfigured)
+                sessions[name].append(
+                    (
+                        peer,
+                        is_ebgp,
+                        exports.get(peer),
+                        peer_config.import_policies.get(name),
+                        peer_config.default_local_pref,
+                    )
+                )
         return sessions
 
     # ------------------------------------------------------------------
@@ -199,16 +186,33 @@ class BGPComputation:
         from ``O(routers × sessions × prefixes)`` per round to the size of
         the actual change wavefront — the property that makes per-contingency
         recomputation affordable in k-failure sweeps.
+        (:func:`repro.testing.routing.reference_routes` is that textbook
+        sweep, kept as the differential oracle.)
+
+        Per changed selection, the advertised route is picked once per
+        session kind: the best route for eBGP peers, the best route not
+        learned over iBGP for iBGP peers.  An iBGP session without policy
+        imports that route unchanged except for ``learned_from``, so the
+        imported :class:`Route` (frozen) is built once and shared by every
+        policy-free member of the mesh.  The Adj-RIB-in is keyed
+        ``router -> prefix -> source``, so re-selecting one prefix reads
+        one dict.
+
+        Neither the frontier's order nor a dict's iteration order can change
+        a result: within one round every rib slot ``(receiver, prefix,
+        sender)`` is written from the sender's selection alone, and
+        :meth:`_select` orders equally good routes by ``(exit_router,
+        learned_from)``, which is unique per candidate (one route per
+        source).
         """
-        # Adj-RIB-in per router: (peer or None) -> prefix -> Route
-        ribs: dict[str, dict[str | None, dict[Prefix, Route]]] = {
-            router.name: {None: {}} for router in self.topology
+        ribs: dict[str, dict[Prefix, dict[str | None, Route]]] = {
+            router.name: {} for router in self.topology
         }
         for config in self.config.routers():
             if not self.topology.has_router(config.name):
                 raise RoutingError(f"configuration references unknown router {config.name!r}")
             for prefix in config.originated:
-                ribs[config.name][None][prefix] = Route(
+                ribs[config.name].setdefault(prefix, {})[None] = Route(
                     prefix=prefix,
                     origin=config.name,
                     as_path=(),
@@ -217,13 +221,11 @@ class BGPComputation:
                     exit_router=config.name,
                 )
 
-        sessions = {name: self._sessions(name) for name in ribs}
+        asn = self._asn
+        sessions = self._sessions()
         selection: SelectedRoutes = {name: {} for name in ribs}
         dirty: set[tuple[str, Prefix]] = {
-            (name, prefix)
-            for name, per_peer in ribs.items()
-            for routes in per_peer.values()
-            for prefix in routes
+            (name, prefix) for name, by_prefix in ribs.items() for prefix in by_prefix
         }
         for _round in range(self.max_rounds):
             frontier = self._reselect(ribs, selection, dirty)
@@ -232,19 +234,35 @@ class BGPComputation:
             dirty = set()
             changed = False
             for name, prefix, routes in frontier:
-                for peer, is_ebgp in sessions[name]:
-                    advertised = self._pick_advertised(name, routes, is_ebgp)
-                    if advertised is None:
+                own_asn = asn[name]
+                # iBGP peers only hear routes not learned over iBGP (the
+                # full mesh's loop-avoidance rule).
+                ibgp_route = next(
+                    (
+                        route
+                        for route in routes
+                        if route.learned_from is None or asn[route.learned_from] != own_asn
+                    ),
+                    None,
+                )
+                shared_import: Route | None = None
+                for session in sessions[name]:
+                    peer, is_ebgp, export, import_, _pref = session
+                    if is_ebgp:
+                        imported = self._exchange(name, routes[0], session)
+                    elif ibgp_route is None:
                         continue
-                    exported = self._apply_export(name, peer, advertised)
-                    if exported is None:
-                        continue
-                    imported = self._apply_import(name, peer, exported, is_ebgp)
+                    elif export is None and import_ is None:
+                        if shared_import is None:
+                            shared_import = self._exchange(name, ibgp_route, session)
+                        imported = shared_import
+                    else:
+                        imported = self._exchange(name, ibgp_route, session)
                     if imported is None:
                         continue
-                    peer_rib = ribs[peer].setdefault(name, {})
-                    if peer_rib.get(prefix) != imported:
-                        peer_rib[prefix] = imported
+                    peer_rib = ribs[peer].setdefault(prefix, {})
+                    if peer_rib.get(name) != imported:
+                        peer_rib[name] = imported
                         dirty.add((peer, prefix))
                         changed = True
             if not changed:
@@ -256,102 +274,76 @@ class BGPComputation:
 
     def _reselect(
         self,
-        ribs: dict[str, dict[str | None, dict[Prefix, Route]]],
+        ribs: dict[str, dict[Prefix, dict[str | None, Route]]],
         selection: SelectedRoutes,
         dirty: set[tuple[str, Prefix]],
     ) -> list[tuple[str, Prefix, list[Route]]]:
         """Recompute selection for ``dirty`` pairs; return the ones that changed."""
         frontier: list[tuple[str, Prefix, list[Route]]] = []
         for name, prefix in sorted(dirty, key=lambda pair: (pair[0], str(pair[1]))):
-            candidates: list[Route] = []
-            for routes in ribs[name].values():
-                route = routes.get(prefix)
-                if route is not None:
-                    candidates.append(route)
-            best = self._select(name, candidates)
+            best = self._select(name, ribs[name][prefix].values())
             if selection[name].get(prefix) != best:
                 selection[name][prefix] = best
                 frontier.append((name, prefix, best))
         return frontier
 
-    def _pick_advertised(self, router: str, routes: list[Route], is_ebgp: bool) -> Route | None:
-        """The single best route ``router`` advertises to a peer.
+    def _exchange(self, sender: str, route: Route, session: Session) -> Route | None:
+        """``route`` as the session's peer imports it from ``sender``.
 
-        Routes learned over iBGP are not re-advertised to iBGP peers, which is
-        the standard loop-avoidance rule for a full mesh.
+        ``None`` when the sender's export policy or the peer's import
+        policy denies it, or when the peer's ASN is already on the eBGP
+        path (loop prevention).
         """
-        own_asn = self._asn(router)
-        for route in routes:
-            if is_ebgp:
-                return route
-            learned_over_ibgp = (
-                route.learned_from is not None and self._asn(route.learned_from) == own_asn
-            )
-            if not learned_over_ibgp:
-                return route
-        return None
-
-    def _apply_export(self, router: str, peer: str, route: Route) -> Route | None:
-        policy = self._router_config(router).export_policies.get(peer, _PERMIT_ALL)
-        action, local_pref = policy.evaluate(route.prefix)
-        if action is PolicyAction.DENY:
-            return None
-        if local_pref is not None:
-            route = replace(route, local_pref=local_pref)
-        return route
-
-    def _apply_import(self, router: str, peer: str, route: Route, is_ebgp: bool) -> Route | None:
-        peer_asn = self._asn(peer)
-        sender_asn = self._asn(router)
+        peer, is_ebgp, export, import_, peer_pref = session
+        local_pref = route.local_pref
+        if export is not None:
+            action, override = export.evaluate(route.prefix)
+            if action is PolicyAction.DENY:
+                return None
+            if override is not None:
+                local_pref = override
         as_path = route.as_path
         if is_ebgp:
             # The sender prepends its own ASN; the receiver rejects routes
-            # whose AS path already contains its ASN (loop prevention).
-            as_path = (sender_asn,) + as_path
-            if peer_asn in as_path:
+            # whose AS path already contains its ASN.
+            as_path = (self._asn[sender],) + as_path
+            if self._asn[peer] in as_path:
                 return None
             exit_router = peer
-            local_pref = self._router_config(peer).default_local_pref
+            local_pref = peer_pref
         else:
             exit_router = route.exit_router
-            local_pref = route.local_pref
-        policy = self._router_config(peer).import_policies.get(router, _PERMIT_ALL)
-        action, override = policy.evaluate(route.prefix)
-        if action is PolicyAction.DENY:
-            return None
-        if override is not None:
-            local_pref = override
+        if import_ is not None:
+            action, override = import_.evaluate(route.prefix)
+            if action is PolicyAction.DENY:
+                return None
+            if override is not None:
+                local_pref = override
         return Route(
             prefix=route.prefix,
             origin=route.origin,
             as_path=as_path,
             local_pref=local_pref,
-            learned_from=router,
+            learned_from=sender,
             exit_router=exit_router,
         )
 
-    def _select_all(
-        self, ribs: dict[str, dict[str | None, dict[Prefix, Route]]]
-    ) -> SelectedRoutes:
-        selected: SelectedRoutes = {}
-        for router, per_peer in ribs.items():
-            by_prefix: dict[Prefix, list[Route]] = {}
-            for routes in per_peer.values():
-                for prefix, route in routes.items():
-                    by_prefix.setdefault(prefix, []).append(route)
-            selected[router] = {
-                prefix: self._select(router, routes) for prefix, routes in by_prefix.items()
-            }
-        return selected
-
-    def _select(self, router: str, routes: list[Route]) -> list[Route]:
-        """Best-route selection with ECMP ties."""
-
-        def full_key(route: Route) -> tuple[int, int, int]:
-            local_pref, as_len = route.key()
-            return (local_pref, as_len, self._igp_cost(router, route.exit_router))
-
-        best_key = min(full_key(route) for route in routes)
-        chosen = [route for route in routes if full_key(route) == best_key]
+    def _select(self, router: str, routes: Iterable[Route]) -> list[Route]:
+        """Best-route selection with ECMP ties, ordered by (exit, learned_from)."""
+        costs: dict[str, int] | None = None
+        best_key: tuple[int, int, int] | None = None
+        chosen: list[Route] = []
+        for route in routes:
+            if route.exit_router == router:
+                igp = 0
+            else:
+                if costs is None:
+                    costs = self._igp.costs_from(router)
+                igp = costs.get(route.exit_router, UNREACHABLE)
+            key = (-route.local_pref, len(route.as_path), igp)
+            if best_key is None or key < best_key:
+                best_key, chosen = key, [route]
+            elif key == best_key:
+                chosen.append(route)
         chosen.sort(key=lambda route: (route.exit_router, route.learned_from or ""))
         return chosen

@@ -28,8 +28,7 @@ def shortest_path_costs(topology: Topology, source: str) -> dict[str, int]:
         if router in visited:
             continue
         visited.add(router)
-        for neighbor in topology.neighbors(router):
-            edge_cost = topology.link_cost(router, neighbor)
+        for neighbor, edge_cost in topology.neighbor_costs(router).items():
             candidate = cost + edge_cost
             if candidate < costs.get(neighbor, float("inf")):
                 costs[neighbor] = candidate
@@ -39,8 +38,7 @@ def shortest_path_costs(topology: Topology, source: str) -> dict[str, int]:
 
 def igp_cost(topology: Topology, source: str, target: str) -> int | None:
     """Minimal IGP cost between two routers, ``None`` when disconnected."""
-    costs = shortest_path_costs(topology, source)
-    return costs.get(target)
+    return IgpCostCache(topology).cost(source, target)
 
 
 def equal_cost_next_hops(topology: Topology, source: str, target: str) -> set[str]:
@@ -50,20 +48,7 @@ def equal_cost_next_hops(topology: Topology, source: str, target: str) -> set[st
     next hop: a neighbor ``n`` qualifies when ``cost(source, n) + cost(n,
     target)`` equals ``cost(source, target)``.
     """
-    if source == target:
-        return set()
-    source_costs = shortest_path_costs(topology, source)
-    if target not in source_costs:
-        return set()
-    total = source_costs[target]
-    target_costs = shortest_path_costs(topology, target)
-    next_hops: set[str] = set()
-    for neighbor in topology.neighbors(source):
-        edge = topology.link_cost(source, neighbor)
-        remaining = target_costs.get(neighbor)
-        if remaining is not None and edge + remaining == total:
-            next_hops.add(neighbor)
-    return next_hops
+    return set(IgpCostCache(topology).equal_cost_next_hops(source, target))
 
 
 def all_pairs_costs(topology: Topology) -> dict[str, dict[str, int]]:
@@ -72,22 +57,23 @@ def all_pairs_costs(topology: Topology) -> dict[str, dict[str, int]]:
 
 
 class IgpCostCache:
-    """Memoized single-source IGP costs over one (immutable) topology.
+    """Memoized single-source IGP costs and next hops over one (immutable) topology.
 
-    :func:`equal_cost_next_hops` runs two fresh Dijkstras per call, which is
-    fine for a one-off query but quadratically wasteful inside
-    :func:`~repro.network.fib.build_fibs` (one call per router × prefix ×
-    selected route) and prohibitive for contingency sweeps that rebuild FIBs
-    once per failed link.  The cache runs at most one Dijkstra per distinct
-    source ever queried and answers next-hop queries from the cached maps.
+    :func:`~repro.network.fib.build_fibs` asks for next hops once per router
+    × prefix × selected route and contingency sweeps rebuild FIBs once per
+    failed link, so fresh Dijkstras per query would be quadratically
+    wasteful.  The cache runs at most one Dijkstra per distinct source ever
+    queried, and memoises each ``(source, target)`` next-hop set: a network
+    has few distinct exits per AS, so most queries are one dict lookup.
     The topology must not gain links while a cache is alive.
     """
 
-    __slots__ = ("topology", "_costs")
+    __slots__ = ("topology", "_costs", "_next_hops")
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self._costs: dict[str, dict[str, int]] = {}
+        self._next_hops: dict[tuple[str, str], frozenset[str]] = {}
 
     def costs_from(self, source: str) -> dict[str, int]:
         """Memoized :func:`shortest_path_costs` from ``source``."""
@@ -101,18 +87,22 @@ class IgpCostCache:
         """Minimal IGP cost between two routers, ``None`` when disconnected."""
         return self.costs_from(source).get(target)
 
-    def equal_cost_next_hops(self, source: str, target: str) -> set[str]:
-        """As :func:`equal_cost_next_hops`, but from the cached cost maps."""
+    def equal_cost_next_hops(self, source: str, target: str) -> frozenset[str]:
+        """As :func:`equal_cost_next_hops`, memoised per ``(source, target)``."""
+        hops = self._next_hops.get((source, target))
+        if hops is None:
+            hops = self._next_hops[(source, target)] = self._fresh_next_hops(source, target)
+        return hops
+
+    def _fresh_next_hops(self, source: str, target: str) -> frozenset[str]:
         if source == target:
-            return set()
+            return frozenset()
         total = self.costs_from(source).get(target)
         if total is None:
-            return set()
+            return frozenset()
         target_costs = self.costs_from(target)
-        next_hops: set[str] = set()
-        for neighbor in self.topology.neighbors(source):
-            edge = self.topology.link_cost(source, neighbor)
-            remaining = target_costs.get(neighbor)
-            if remaining is not None and edge + remaining == total:
-                next_hops.add(neighbor)
-        return next_hops
+        return frozenset(
+            neighbor
+            for neighbor, edge in self.topology.neighbor_costs(source).items()
+            if neighbor in target_costs and edge + target_costs[neighbor] == total
+        )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
+from types import MappingProxyType
 
 from repro.errors import TopologyError
 from repro.rela.locations import Location, LocationDB
@@ -72,11 +73,13 @@ class Topology:
         self.name = name
         self._routers: dict[str, Router] = {}
         self._links: list[Link] = []
-        self._adjacency: dict[str, set[str]] = {}
+        # Cost map: router -> neighbor -> minimum IGP cost over the bundle's
+        # members, maintained as links are added (they are never removed in
+        # place), so ``link_cost`` and every Dijkstra edge relaxation are one
+        # dict lookup; ``_neighbor_views`` holds one read-only view per router.
+        self._adjacency: dict[str, dict[str, int]] = {}
+        self._neighbor_views: dict[str, MappingProxyType[str, int]] = {}
         # Bundle index: unordered router pair -> its parallel link members.
-        # Maintained incrementally (links are only ever added), it makes
-        # ``links_between``/``link_cost`` O(#members) instead of O(#links),
-        # which is what every Dijkstra edge relaxation pays.
         self._bundles: dict[frozenset[str], list[Link]] = {}
 
     # ------------------------------------------------------------------
@@ -96,7 +99,8 @@ class Topology:
             raise TopologyError(f"duplicate router {name!r}")
         router = Router(name=name, group=group, region=region, asn=asn, tier=tier)
         self._routers[name] = router
-        self._adjacency[name] = set()
+        self._adjacency[name] = {}
+        self._neighbor_views[name] = MappingProxyType(self._adjacency[name])
         return router
 
     def add_link(self, a: str, b: str, *, members: int = 1, cost: int = 1) -> list[Link]:
@@ -109,8 +113,9 @@ class Topology:
             raise TopologyError("a link bundle needs at least one member")
         created = [Link(a=a, b=b, member=index, cost=cost) for index in range(members)]
         self._links.extend(created)
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        for here, there in ((a, b), (b, a)):
+            costs = self._adjacency[here]
+            costs[there] = min(costs.get(there, cost), cost)
         self._bundles.setdefault(frozenset((a, b)), []).extend(created)
         return created
 
@@ -149,6 +154,13 @@ class Topology:
             raise TopologyError(f"unknown router {name!r}")
         return set(self._adjacency[name])
 
+    def neighbor_costs(self, name: str) -> MappingProxyType[str, int]:
+        """Read-only ``neighbor -> link_cost`` map of one router."""
+        try:
+            return self._neighbor_views[name]
+        except KeyError:
+            raise TopologyError(f"unknown router {name!r}") from None
+
     def links_between(self, a: str, b: str) -> list[Link]:
         """All parallel link members between two routers (either direction)."""
         return list(self._bundles.get(frozenset((a, b)), ()))
@@ -165,10 +177,10 @@ class Topology:
 
     def link_cost(self, a: str, b: str) -> int:
         """The minimum IGP cost among parallel members between two routers."""
-        members = self.links_between(a, b)
-        if not members:
-            raise TopologyError(f"no link between {a!r} and {b!r}")
-        return min(link.cost for link in members)
+        try:
+            return self._adjacency[a][b]
+        except KeyError:
+            raise TopologyError(f"no link between {a!r} and {b!r}") from None
 
     def routers_in_group(self, group: str) -> list[Router]:
         """All routers belonging to a router group."""
@@ -296,9 +308,8 @@ class Topology:
         for pair, members in self._bundles.items():
             if pair in gone:
                 continue
-            for link in members:
-                derived._links.append(link)
-                derived._adjacency[link.a].add(link.b)
-                derived._adjacency[link.b].add(link.a)
-                derived._bundles.setdefault(pair, []).append(link)
+            derived._links.extend(members)
+            derived._bundles[pair] = list(members)
+            a, b = pair
+            derived._adjacency[a][b] = derived._adjacency[b][a] = self._adjacency[a][b]
         return derived

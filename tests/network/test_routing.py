@@ -21,6 +21,7 @@ from repro.network import (
     trace_forwarding,
 )
 from repro.network.bgp import BGPComputation
+from repro.network.igp import IgpCostCache
 from repro.network.policy import PolicyAction
 from repro.network.simulator import TraceOptions
 from repro.rela.locations import Granularity
@@ -89,6 +90,37 @@ def test_igp_ecmp_next_hops():
     topology.add_link("m1", "t", cost=1)
     topology.add_link("m2", "t", cost=1)
     assert equal_cost_next_hops(topology, "s", "t") == {"m1", "m2"}
+
+
+def _fresh_next_hops(topology, source, target):
+    """Next hops straight from two Dijkstras, with no cache involved."""
+    costs = shortest_path_costs(topology, source)
+    if source == target or target not in costs:
+        return set()
+    back = shortest_path_costs(topology, target)
+    return {
+        neighbor
+        for neighbor in topology.neighbors(source)
+        if neighbor in back
+        and topology.link_cost(source, neighbor) + back[neighbor] == costs[target]
+    }
+
+
+def test_memoised_next_hops_equal_a_fresh_computation(diamond):
+    topology, _config = diamond
+    ecmp = Topology("ecmp")
+    for name in ("s", "m1", "m2", "t"):
+        ecmp.add_router(name, group=name.upper(), asn=1)
+    for a, b in (("s", "m1"), ("s", "m2"), ("m1", "t"), ("m2", "t")):
+        ecmp.add_link(a, b)
+    for network in (topology, ecmp, topology.without_links([("src", "left")])):
+        cache = IgpCostCache(network)
+        for source in (router.name for router in network):
+            for target in (router.name for router in network):
+                first = cache.equal_cost_next_hops(source, target)
+                assert first == _fresh_next_hops(network, source, target)
+                assert first == equal_cost_next_hops(network, source, target)
+                assert cache.equal_cost_next_hops(source, target) is first
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for the topology model and IP prefix handling."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.addressing import Prefix, PrefixTable, allocate_prefixes
@@ -74,6 +78,47 @@ def test_subset_topology():
     assert not sub.has_router("b1")
     with pytest.raises(TopologyError):
         topology.subset(["a1", "nope"])
+
+
+def test_parallel_bundles_cost_their_cheapest_member():
+    topology = build_topology()
+    topology.add_link("a2", "b1", cost=7)
+    topology.add_link("b1", "a2", members=2, cost=3)
+    assert topology.link_cost("a2", "b1") == topology.link_cost("b1", "a2") == 3
+    assert topology.neighbor_costs("a2") == {"a1": 5, "b1": 3}
+
+
+def test_without_links_keeps_surviving_costs_and_drops_failed_pairs():
+    topology = build_topology()
+    failed = topology.without_links([("b1", "a1")])
+    assert failed.link_cost("a1", "a2") == 5
+    assert failed.neighbor_costs("a1") == {"a2": 5}
+    assert failed.neighbor_costs("b1") == {}
+    with pytest.raises(TopologyError):
+        failed.link_cost("a1", "b1")
+    # The parent keeps its own map.
+    assert topology.neighbor_costs("a1") == {"a2": 5, "b1": 10}
+
+
+def test_subset_preserves_costs():
+    topology = build_topology()
+    topology.add_link("a1", "a2", cost=2)
+    sub = topology.subset(["a1", "a2"])
+    assert sub.link_cost("a1", "a2") == 2
+    assert sub.neighbor_costs("a2") == {"a1": 2}
+
+
+def test_neighbor_costs_is_read_only():
+    topology = build_topology()
+    with pytest.raises(TypeError):
+        topology.neighbor_costs("a1")["b1"] = 1
+    with pytest.raises(TopologyError):
+        topology.neighbor_costs("missing")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 32))
+def test_prefix_str_matches_ipaddress(network, length):
+    assert str(Prefix(network, length)) == f"{ipaddress.IPv4Address(network)}/{length}"
 
 
 def test_prefix_parsing_and_containment():
