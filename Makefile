@@ -1,7 +1,7 @@
 # Developer entry points.  `make test` is the tier-1 suite; `make lint`
 # verifies formatting locally (ruff when installed, mechanical fallback in
-# offline containers — see scripts/lint.py); `make bench` runs the gated
-# benchmarks the CI bench job runs.
+# offline containers — see scripts/lint.py); `make bench` is the one list of
+# paper-artefact benchmarks, run as is by the CI bench job.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -30,4 +30,4 @@ bench:
 		benchmarks/bench_k2_sweep.py \
 		benchmarks/bench_gate.py \
 		benchmarks/bench_serve_throughput.py \
-		-q -s --benchmark-disable
+		-q -s

@@ -46,12 +46,12 @@ def preserve_relation(alphabet: Alphabet) -> FST:
     return FST.identity(FSA.any_symbol(alphabet).star())
 
 
-def test_bench_image_fused_vs_compose(benchmark):
+def test_bench_image_fused_vs_compose():
     alphabet = backbone_alphabet()
     relation = preserve_relation(alphabet)
     path_set = fec_path_set(alphabet)
 
-    fused = benchmark(lambda: relation.image(path_set))
+    fused = relation.image(path_set)
     eager = relation.image_via_compose(path_set)
     assert fused.language() == eager.language()
 
@@ -62,13 +62,13 @@ def test_bench_image_fused_vs_compose(benchmark):
     print(f"  via compose   : {eager.num_states:>5} states, {eager.num_transitions:>6} transitions")
 
 
-def test_bench_compare_lazy_vs_eager(benchmark):
+def test_bench_compare_lazy_vs_eager():
     alphabet = backbone_alphabet()
     relation = preserve_relation(alphabet)
     lhs = relation.image(fec_path_set(alphabet))
     rhs = relation.image(fec_path_set(alphabet))
 
-    result = benchmark(lambda: compare(lhs, rhs))
+    result = compare(lhs, rhs)
     assert result.equal
 
     lazy_product = difference_dfa(lhs, rhs)
@@ -87,24 +87,24 @@ def test_bench_compare_lazy_vs_eager(benchmark):
     assert lazy_product.num_transitions < eager_product.num_transitions
 
 
-def test_bench_compare_violation_early_exit(benchmark):
+def test_bench_compare_violation_early_exit():
     alphabet = backbone_alphabet()
     relation = preserve_relation(alphabet)
     lhs = relation.image(fec_path_set(alphabet))
     rhs = relation.image(fec_path_set(alphabet, offset=1))
 
-    result = benchmark(lambda: compare(lhs, rhs))
+    result = compare(lhs, rhs)
     assert not result.equal
     assert result.missing and result.unexpected
 
 
-def test_bench_minimize_smaller_half(benchmark):
+def test_bench_minimize_smaller_half():
     alphabet = backbone_alphabet()
     union = fec_path_set(alphabet)
     for offset in range(1, 8):
         union = union.union(fec_path_set(alphabet, offset=offset * 7))
 
-    minimal = benchmark(lambda: union.minimize())
+    minimal = union.minimize()
     assert minimal.equivalent(union)
 
     dfa = union.determinize()

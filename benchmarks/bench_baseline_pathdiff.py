@@ -17,12 +17,12 @@ from repro.verifier import verify_change
 from repro.workloads.changes import traffic_shift
 
 
-def test_pathdiff_vs_rela_on_case_study(benchmark, figure1_scenario):
+def test_pathdiff_vs_rela_on_case_study(figure1_scenario):
     scenario = figure1_scenario
     pre = scenario.pre_change()
     post = scenario.iteration_v2()
 
-    diff = benchmark(lambda: path_diff(pre, post))
+    diff = path_diff(pre, post)
     report = verify_change(pre, post, scenario.refined_spec(), db=scenario.db)
 
     print()
@@ -50,7 +50,7 @@ def test_pathdiff_vs_rela_on_case_study(benchmark, figure1_scenario):
     assert report.violating_fecs == 39
 
 
-def test_compliant_change_needs_no_audit(benchmark, backbone, pre_snapshot):
+def test_compliant_change_needs_no_audit(backbone, pre_snapshot):
     db = backbone.location_db()
     scenario = traffic_shift(
         pre_snapshot,
@@ -58,9 +58,7 @@ def test_compliant_change_needs_no_audit(benchmark, backbone, pre_snapshot):
         backbone.routers_in("R2", "border"),
         change_id="compliant-shift",
     )
-    report = benchmark(
-        lambda: verify_change(scenario.pre, scenario.post, scenario.spec, db=db)
-    )
+    report = verify_change(scenario.pre, scenario.post, scenario.spec, db=db)
     diff = path_diff(scenario.pre, scenario.post)
 
     print()

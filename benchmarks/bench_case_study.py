@@ -2,8 +2,8 @@
 
 The paper reports, per iteration, how many flow equivalence classes violate
 each sub-spec (v1: 17 ``nochange`` + 15 ``e2e``; v2: 15 ``e2e`` + 24
-``nochange`` + 0 ``sideEffects``; final: none).  The benchmark measures a full
-case-study replay and asserts the reproduced counts.
+``nochange`` + 0 ``sideEffects``; final: none).  The benchmark replays the
+full case study and asserts the reproduced counts.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def run_case_study(scenario):
     return results
 
 
-def test_case_study_iterations(benchmark, figure1_scenario):
-    results = benchmark(run_case_study, figure1_scenario)
+def test_case_study_iterations(figure1_scenario):
+    results = run_case_study(figure1_scenario)
 
     assert results["v1"].violations_for("e2e") == T1_CLASSES == 15
     assert results["v1"].violations_for("nochange") == SIDE_EFFECT_CLASSES == 17

@@ -16,29 +16,23 @@ through one :class:`~repro.verifier.contingency.ContingencySweep`:
   sweep also proves new behaviour is discovered, checked once and reused.
 * **the dedup headline** — ``naive_checks`` (unique pairs summed per
   contingency: what independent one-shot runs would each execute) over
-  ``executed_checks`` (what the shared session actually ran).  CI gates
-  this ratio as a hard floor of 10x: losing cross-contingency interning,
-  the session verdict cache or the derivation's baseline-trace reuse
-  collapses it toward 1x.
-
-Environment knobs (all optional):
-
-* ``SWEEP_FECS`` — classes per contingency snapshot (default 20000);
-* ``SWEEP_JSON`` — write the measured record to this path, in the format
-  ``benchmarks/check_perf_regression.py --sweep`` consumes.
+  ``executed_checks`` (what the shared session actually ran), asserted
+  as a hard floor of 10x: losing cross-contingency interning, the session
+  verdict cache or the derivation's reference-trace reuse collapses it
+  toward 1x.
 
 The sweep is then re-run with ``--checkpoint`` durability enabled
 (journaling every completed contingency's report, cache deltas and new
 graphs to disk as it lands) and the time spent journaling — measured
-inside the run, see ``SweepReport.checkpoint_seconds`` — is reported as
-``checkpoint_overhead_pct`` of the plain sweep's wall.  CI gates it at an
-absolute 2% ceiling, the bar for "crash-resume is effectively free at
-sweep granularity".
+inside the run, see ``SweepReport.checkpoint_seconds`` — is asserted
+under an absolute 2% ceiling of the plain sweep's wall, the bar for
+"crash-resume is effectively free at sweep granularity".  The resilience
+guard's overhead is held under 5% the same way.  Absolute sweep
+throughput is owned by the ``sweep_k1`` workload of ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import tempfile
@@ -61,9 +55,8 @@ def _peak_rss_mb() -> float:
 
 @pytest.fixture(scope="module")
 def sweep_inputs():
-    num_fecs = int(os.environ.get("SWEEP_FECS", "20000"))
-    backbone = scale_backbone(ScaleProfile(num_fecs=num_fecs))
-    scenario = drain_sweep_scenario(backbone, num_fecs=num_fecs)
+    backbone = scale_backbone(ScaleProfile(num_fecs=20000))
+    scenario = drain_sweep_scenario(backbone, num_fecs=20000)
     contingencies = single_link_failures(backbone.topology)
     contingencies += interconnect_maintenance_sets(backbone)
     return backbone, scenario, contingencies
@@ -123,6 +116,9 @@ def test_contingency_sweep_dedup(sweep_inputs, guard_cost_per_check):
         f"  resilience guard overhead: {guard_overhead_pct:+.2f}% of the check phase "
         f"({guard_cost_per_check * 1e6:.1f} us/check x {sweep.executed_checks} executed checks)"
     )
+    assert guard_overhead_pct <= 5.0, (
+        f"resilience guard overhead {guard_overhead_pct:.2f}% breaches the 5% ceiling"
+    )
 
     # Checkpoint overhead: the identical sweep with per-unit journaling on.
     # The overhead is SweepReport.checkpoint_seconds — the time the run
@@ -133,7 +129,7 @@ def test_contingency_sweep_dedup(sweep_inputs, guard_cost_per_check):
     # runner jitter (back-to-back identical 30s runs differ by 10-20%);
     # the direct measurement *is* resolvable, and journaling per FEC
     # instead of per contingency (or an fsync per record) blows straight
-    # through the CI ceiling.
+    # through the 2% ceiling.
     with tempfile.TemporaryDirectory(prefix="sweep-ckpt-") as ckpt_dir:
         ckpt_path = os.path.join(ckpt_dir, "sweep.ckpt")
         checkpointed = scenario.sweep(contingencies).run(checkpoint=ckpt_path)
@@ -146,28 +142,6 @@ def test_contingency_sweep_dedup(sweep_inputs, guard_cost_per_check):
         f"({checkpointed.checkpoint_seconds * 1000.0:.0f} ms journaling, "
         f"journal {journal_mb:.1f} MB for {sweep.contingencies} units)"
     )
-
-    json_path = os.environ.get("SWEEP_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "fec_count": baseline_report.total_fecs,
-                    "contingencies": sweep.contingencies,
-                    "naive_checks": sweep.naive_checks,
-                    "executed_checks": sweep.executed_checks,
-                    "cached_checks": sweep.cached_checks,
-                    "dedup_ratio": sweep.dedup_ratio,
-                    "distinct_graphs": sweep.distinct_graphs,
-                    "sweep_seconds": sweep_seconds,
-                    "derive_seconds": sweep.derive_seconds,
-                    "check_seconds": sweep.check_seconds,
-                    "contingencies_per_sec": sweep.contingencies / sweep_seconds,
-                    "guard_overhead_pct": guard_overhead_pct,
-                    "checkpoint_overhead_pct": checkpoint_overhead_pct,
-                    "checkpoint_journal_mb": journal_mb,
-                    "peak_rss_mb": _peak_rss_mb(),
-                },
-                handle,
-                indent=2,
-            )
+    assert checkpoint_overhead_pct <= 2.0, (
+        f"checkpoint overhead {checkpoint_overhead_pct:.2f}% breaches the 2% ceiling"
+    )

@@ -35,7 +35,7 @@ def ecmp_graph(stages: int, width: int) -> ForwardingGraph:
     return graph
 
 
-def test_dag_compaction_and_fsa_construction(benchmark):
+def test_dag_compaction_and_fsa_construction():
     print()
     print("Section 6.1 (reproduced): DAG size vs. number of encoded ECMP paths")
     print(f"  {'stages':>6} {'width':>6} {'nodes':>7} {'edges':>7} {'paths':>14}")
@@ -52,7 +52,7 @@ def test_dag_compaction_and_fsa_construction(benchmark):
     assert big.num_nodes <= 100
 
     # Building the snapshot automaton from the DAG is cheap...
-    fsa = benchmark(lambda: big.to_fsa(Alphabet()))
+    fsa = big.to_fsa(Alphabet())
     assert fsa.num_states == big.num_nodes + 1
 
     # ...whereas explicit enumeration of even a tiny fraction of the path set

@@ -17,8 +17,8 @@ def spec_sizes(backbone, pre_snapshot):
     return sorted(scenario.atomic_count for scenario in dataset)
 
 
-def test_fig5_spec_size_distribution(benchmark, backbone, pre_snapshot):
-    sizes = benchmark(spec_sizes, backbone, pre_snapshot)
+def test_fig5_spec_size_distribution(backbone, pre_snapshot):
+    sizes = spec_sizes(backbone, pre_snapshot)
 
     total = len(sizes)
     fraction_single = sum(1 for size in sizes if size == 1) / total

@@ -6,28 +6,18 @@ contingency flips, unknown counters) and folds them into a
 :class:`~repro.analytics.risk.RiskAssessment` plus a
 :class:`~repro.analytics.gate.SafetyGateDecision`.  For a CI pipeline to
 adopt the gate the scoring must be effectively free next to the
-verification it wraps — this benchmark measures exactly that ratio and CI
-holds it under an absolute ceiling (2% of sweep wall-clock; see
-``check_perf_regression.py --gate``).
+verification it wraps — this benchmark measures exactly that ratio and
+asserts it under an absolute ceiling of 2% of sweep wall-clock.
 
-Method: run one CI-sized drain sweep (same workload family as
-``bench_contingency_sweep.py`` but smaller by default so the bench job
-stays cheap), then score the *same* sweep report repeatedly and take the
-mean per-assessment cost.  Scoring is deterministic and side-effect free,
-so repetition measures the real steady-state cost rather than cache warmup.
-
-Environment knobs (all optional):
-
-* ``GATE_FECS`` — classes per contingency snapshot (default 2000);
-* ``GATE_ROUNDS`` — scoring repetitions to average over (default 50);
-* ``GATE_JSON`` — write the measured record to this path, in the format
-  ``benchmarks/check_perf_regression.py --gate`` consumes.
+Method: run one 2000-FEC drain sweep (same workload family as
+``bench_contingency_sweep.py`` but smaller so the bench stays cheap), then
+score the *same* sweep report 50 times and take the mean per-assessment
+cost.  Scoring is deterministic and side-effect free, so repetition
+measures the real steady-state cost rather than cache warmup.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
@@ -43,9 +33,8 @@ from repro.workloads.scale import ScaleProfile, scale_backbone
 
 @pytest.fixture(scope="module")
 def gated_sweep():
-    num_fecs = int(os.environ.get("GATE_FECS", "2000"))
-    backbone = scale_backbone(ScaleProfile(num_fecs=num_fecs))
-    scenario = drain_sweep_scenario(backbone, num_fecs=num_fecs)
+    backbone = scale_backbone(ScaleProfile(num_fecs=2000))
+    scenario = drain_sweep_scenario(backbone, num_fecs=2000)
     contingencies = single_link_failures(backbone.topology)
     contingencies += interconnect_maintenance_sets(backbone)
 
@@ -59,7 +48,7 @@ def test_gate_scoring_overhead(gated_sweep):
     backbone, scenario, sweep, sweep_seconds = gated_sweep
     assert sweep.holds, sweep.summary()
 
-    rounds = int(os.environ.get("GATE_ROUNDS", "50"))
+    rounds = 50
     fec_regions = fec_region_index(
         scenario.fecs, location_regions=backbone.location_regions()
     )
@@ -87,27 +76,7 @@ def test_gate_scoring_overhead(gated_sweep):
     print(f"  gate overhead: {gate_overhead_pct:.3f}% of sweep wall-clock")
 
     # The adoption bar: scoring must stay a rounding error next to the
-    # verification it wraps.  CI enforces the same ceiling from the
-    # baseline file; this in-bench assert keeps local runs honest too.
+    # verification it wraps.
     assert gate_overhead_pct < 2.0, (
         f"gate scoring overhead {gate_overhead_pct:.2f}% breaches the 2% ceiling"
     )
-
-    json_path = os.environ.get("GATE_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "fec_count": sweep.results[0].report.total_fecs,
-                    "contingencies": sweep.contingencies,
-                    "rounds": rounds,
-                    "sweep_seconds": sweep_seconds,
-                    "gate_seconds": gate_seconds,
-                    "gate_overhead_pct": gate_overhead_pct,
-                    "decision": str(decision.decision),
-                    "risk_score": decision.assessment.score,
-                    "risk_tier": str(decision.assessment.tier),
-                },
-                handle,
-                indent=2,
-            )

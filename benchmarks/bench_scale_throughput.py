@@ -12,18 +12,15 @@ numbers that matter at that scale:
 * **peak RSS** — structural sharing keeps the snapshot pair and the
   verification run proportional to distinct graphs.
 
-Environment knobs (both optional):
-
-* ``SCALE_FECS`` — population size (default 100000; CI uses a smaller one);
-* ``SCALE_JSON`` — write the measured throughput record to this path, in the
-  format ``benchmarks/check_perf_regression.py`` consumes for the CI gate.
+The population is fixed at 20 000 FECs; the absolute numbers are owned by
+the ``scale_oneshot`` workload of ``benchmarks/perf`` (100k FECs per shift).
+What stays here is same-run: the dedup invariant and the resilience guard's
+overhead ceiling, both asserted where they are measured.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import resource
 
 import pytest
@@ -39,19 +36,14 @@ def _peak_rss_mb() -> float:
 
 @pytest.fixture(scope="module")
 def scale_scenario():
-    num_fecs = int(os.environ.get("SCALE_FECS", "100000"))
-    return generate_scale_change(ScaleProfile(num_fecs=num_fecs))
+    return generate_scale_change(ScaleProfile(num_fecs=20000))
 
 
-def test_scale_verify_throughput(benchmark, scale_scenario):
+def test_scale_verify_throughput(scale_scenario):
     options = VerificationOptions(collect_counterexamples=False)
-
-    def run():
-        return verify_change(
-            scale_scenario.pre, scale_scenario.post, scale_scenario.spec, options=options
-        )
-
-    report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    report = verify_change(
+        scale_scenario.pre, scale_scenario.post, scale_scenario.spec, options=options
+    )
 
     assert report.holds == scale_scenario.expect_holds is True
     assert report.total_fecs == len(scale_scenario.pre)
@@ -76,23 +68,6 @@ def test_scale_verify_throughput(benchmark, scale_scenario):
     )
     print(f"  peak RSS: {_peak_rss_mb():.0f} MB")
 
-    json_path = os.environ.get("SCALE_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "fec_count": report.total_fecs,
-                    "fecs_per_sec": fecs_per_sec,
-                    "elapsed_seconds": report.elapsed_seconds,
-                    "setup_seconds": report.setup_seconds,
-                    "check_seconds": report.check_seconds,
-                    "unique_checks": report.unique_checks,
-                    "peak_rss_mb": _peak_rss_mb(),
-                },
-                handle,
-                indent=2,
-            )
-
 
 def test_scale_resilience_guard_overhead(scale_scenario, guard_cost_per_check):
     """Arming the per-check deadline guard must be ~free at scale.
@@ -103,9 +78,8 @@ def test_scale_resilience_guard_overhead(scale_scenario, guard_cost_per_check):
     ``conftest.py``) scaled by the run's unique checks, as a fraction of the
     fastest observed check phase.  That composition is deterministic where a
     two-arm wall-clock diff is not: runner jitter on this ~100 ms workload is
-    ±10%, an order of magnitude above the true guard cost.  The gate
-    (``scale.max_guard_overhead_pct`` in ``BENCH_fig6.json``) is an absolute
-    ceiling: arming the guard per FEC instead of per unique check, or a
+    ±10%, an order of magnitude above the true guard cost.  The 5% ceiling
+    is absolute: arming the guard per FEC instead of per unique check, or a
     guard whose per-check cost balloons, trips it immediately.
     """
     guarded = VerificationOptions(
@@ -131,16 +105,9 @@ def test_scale_resilience_guard_overhead(scale_scenario, guard_cost_per_check):
         f"({guard_cost_per_check * 1e6:.1f} us/check x {unique_checks} unique checks "
         f"vs {best_check_s * 1000:.0f} ms)"
     )
-
-    json_path = os.environ.get("SCALE_JSON")
-    if json_path and os.path.exists(json_path):
-        # test_scale_verify_throughput wrote the record earlier in this run;
-        # fold the overhead measurement into it for the CI gate.
-        with open(json_path) as handle:
-            record = json.load(handle)
-        record["guard_overhead_pct"] = overhead_pct
-        with open(json_path, "w") as handle:
-            json.dump(record, handle, indent=2)
+    assert overhead_pct <= 5.0, (
+        f"resilience guard overhead {overhead_pct:.2f}% breaches the 5% ceiling"
+    )
 
 
 def test_scale_snapshot_sharing(scale_scenario):

@@ -10,26 +10,19 @@ Three arms against one live ``repro serve`` child process:
   daemon's ``/healthz`` pool counters must show exactly one pool ever
   created and zero rebuilds — the tentpole claim (pool lifted out of
   per-call scope) stated as an invariant.
-* **Fork-per-request baseline** — the architecture this PR replaces: one
+* **Fork-per-request baseline** — the pre-daemon architecture: one
   fresh Python process per request, loading pre-serialized inputs and
   calling ``verify_change`` with the same options.  The daemon must beat
   it by >= 5x on mean request latency (interpreter + import + per-call
   pool construction is precisely the cost a resident daemon amortizes;
   input generation is excluded from both arms).
 
-Environment knobs:
-
-* ``SERVE_TENANTS`` — concurrent tenants in the replay arm (default 3);
-* ``SERVE_EPOCHS`` — epochs each tenant replays (default 8);
-* ``SERVE_ONESHOT`` — one-shot verifies through the shared pool (default 12);
-* ``SERVE_FORK_REQUESTS`` — fork-per-request baseline samples (default 4);
-* ``SERVE_JSON`` — write the measured record to this path, in the format
-  ``benchmarks/check_perf_regression.py --serve`` consumes.
+Absolute request throughput and latency are owned by the ``serve_replay``
+workload of ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import subprocess
@@ -48,10 +41,14 @@ from repro.workloads.traffic import generate_fecs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-TENANTS = int(os.environ.get("SERVE_TENANTS", "3"))
-EPOCHS = int(os.environ.get("SERVE_EPOCHS", "8"))
-ONESHOT = int(os.environ.get("SERVE_ONESHOT", "12"))
-FORK_REQUESTS = int(os.environ.get("SERVE_FORK_REQUESTS", "4"))
+#: Concurrent tenants in the replay arm.
+TENANTS = 3
+#: Epochs each tenant replays.
+EPOCHS = 8
+#: One-shot verifies through the shared pool.
+ONESHOT = 12
+#: Fork-per-request baseline samples.
+FORK_REQUESTS = 4
 
 #: The acceptance floor: a resident daemon must beat fork-per-request by
 #: at least this factor on mean request latency.
@@ -204,26 +201,3 @@ def test_serve_throughput_and_pool_reuse(serve_world, daemon, tmp_path):
         f"daemon only {speedup:.1f}x faster than fork-per-request "
         f"(floor {MIN_FORK_SPEEDUP}x): shared pool reuse is not paying for itself"
     )
-
-    json_path = os.environ.get("SERVE_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "tenants": TENANTS,
-                    "epochs": EPOCHS,
-                    "requests": requests,
-                    "replay_wall_seconds": replay_wall,
-                    "rps": rps,
-                    "p99_ms": p99 * 1000,
-                    "oneshot_requests": ONESHOT,
-                    "oneshot_avg_ms": oneshot_avg * 1000,
-                    "fork_requests": FORK_REQUESTS,
-                    "fork_avg_ms": fork_avg * 1000,
-                    "fork_speedup": speedup,
-                    "pools_created": stats["pools_created"],
-                    "pool_rebuilds": stats["pool_rebuilds"],
-                },
-                handle,
-                indent=2,
-            )

@@ -5,11 +5,15 @@ The ROADMAP performance log records the seed's cliff: eagerly compiling a
 excluded the paper's routing-architecture tail (Figure 5, up to ~40 atomic
 specs) from the reproduction.  The delayed-operation layer compiles the same
 spec as a lazy relation DAG in milliseconds and verifies the change
-end-to-end in seconds; these benchmarks pin both numbers so the
-perf-regression CI gate can defend them.
+end-to-end in seconds; these benchmarks print both numbers and assert the
+structure behind them.  The multi-shift tail's timing is owned by the
+``change_mix`` workload of ``benchmarks/perf``; the eager cliff stays pinned
+by the tier-1 ``tests/integration/test_spec_compile_guard.py`` budget.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.rela.compile import zone
 from repro.rela.spec import flatten_else
@@ -24,39 +28,38 @@ def _spec_alphabet(scenario, db):
     return build_alphabet(scenario.pre, scenario.post, db=db, extra_symbols=spec_symbols)
 
 
-def test_spec_compile_multi_shift_37(benchmark, backbone, pre_snapshot):
+def test_spec_compile_multi_shift_37(backbone, pre_snapshot):
     """Delayed compilation of a 37-atomic spec (DAG construction only)."""
     scenario = independent_multi_shift(backbone, pre_snapshot)
     assert scenario.atomic_count == 37
     alphabet = _spec_alphabet(scenario, backbone.location_db())
 
-    compiled = benchmark(lambda: compile_spec(scenario.spec, alphabet))
+    started = time.perf_counter()
+    compiled = compile_spec(scenario.spec, alphabet)
+    elapsed = time.perf_counter() - started
 
     assert len(compiled.branches) == 37
     print()
     print(
         "Spec compilation (37 atomic branches, delayed DAG): "
-        f"{benchmark.stats.stats.median * 1000:.1f} ms median "
+        f"{elapsed * 1000:.1f} ms "
         "(the eager seed path exceeded 570 s end-to-end)"
     )
 
 
-def test_verify_multi_shift_37_end_to_end(benchmark, backbone, pre_snapshot):
+def test_verify_multi_shift_37_end_to_end(backbone, pre_snapshot):
     """Scenario-35-class validation end-to-end (compile + all FEC checks)."""
     scenario = independent_multi_shift(backbone, pre_snapshot)
     db = backbone.location_db()
     options = VerificationOptions(collect_counterexamples=False)
 
-    report = benchmark.pedantic(
-        lambda: verify_change(scenario.pre, scenario.post, scenario.spec, db=db, options=options),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=0,
-    )
+    started = time.perf_counter()
+    report = verify_change(scenario.pre, scenario.post, scenario.spec, db=db, options=options)
+    elapsed = time.perf_counter() - started
 
     assert report.holds == scenario.expect_holds is True
     print()
     print(
         "37-atomic multi_shift verified end-to-end in "
-        f"{benchmark.stats.stats.median:.2f} s median (was >570 s at the seed)"
+        f"{elapsed:.2f} s (was >570 s at the seed)"
     )

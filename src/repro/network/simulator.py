@@ -299,32 +299,6 @@ class Simulator:
             self._router_traces[key] = graph
         return graph
 
-    def trace_unchanged(
-        self, baseline: "Simulator", ingress: str, destination: Prefix | str
-    ) -> bool:
-        """Whether this simulator provably forwards a class as ``baseline`` does.
-
-        Sound reuse criterion for contingency derivation: the baseline's
-        router-level trace visits a known router set, and a FIB trace is a
-        pure function of the FIB decisions at the visited routers (the BFS
-        is deterministic).  If every visited router keeps an identical FIB
-        entry for the destination, the failed network traces the identical
-        graph — including at interface granularity, because an unchanged
-        entry can only point over surviving bundles (the failed topology
-        cannot produce next hops across removed adjacencies) and failures
-        remove whole bundles, never individual members.
-        """
-        destination = Prefix.coerce(destination)
-        base_graph = baseline.router_trace(ingress, destination)
-        fib = self.fib()
-        base_fib = baseline.fib()
-        for node in base_graph.nodes:
-            if node == DROP:
-                continue
-            if fib.lookup(node, destination) != base_fib.lookup(node, destination):
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # Dataplane
     # ------------------------------------------------------------------
@@ -377,13 +351,17 @@ class Simulator:
     ) -> dict[str, frozenset[str]]:
         """Per destination, the routers whose FIB decision differs from ``reference``.
 
-        The *FIB-delta index* behind incremental contingency derivation: one
+        The *FIB-delta index* behind contingency derivation: one
         all-routers scan per distinct destination replaces a per-(ingress,
-        destination) walk over every reference trace.  A combination is then
-        provably unaffected iff its reference trace is disjoint from the
-        destination's delta set — exactly the :meth:`trace_unchanged`
-        predicate, reorganized so the FIB comparisons are shared across all
-        ingresses of a destination.
+        destination) walk over every reference trace, so the FIB comparisons
+        are shared across all ingresses of a destination.  A combination is
+        then provably unaffected iff its reference trace is disjoint from the
+        destination's delta set: a FIB trace is a pure function of the FIB
+        decisions at the visited routers (the BFS is deterministic), so if
+        every visited router keeps an identical entry for the destination,
+        this network traces the identical graph — including at interface
+        granularity, because an unchanged entry can only point over surviving
+        bundles and failures remove whole bundles, never individual members.
         """
         fib = self.fib()
         reference_fib = reference.fib()
@@ -418,24 +396,24 @@ class Simulator:
         """``base_snapshot`` as this (failed) simulator would have traced it.
 
         Copy-on-write derivation for contingency sweeps: classes whose
-        reference traces are provably unaffected (:meth:`trace_unchanged`)
-        keep their reference graph objects — and therefore their interned
-        refs, so cross-contingency dedup is an identity hit — and only the
-        affected (ingress, destination) combinations are re-traced.
-        ``combos`` optionally passes the precomputed ``(ingress, dst) →
-        fec ids`` grouping so a sweep does not regroup per contingency.
+        reference traces are provably unaffected (disjoint from the
+        :meth:`changed_routers` delta index) keep their reference graph
+        objects — and therefore their interned refs, so cross-contingency
+        dedup is an identity hit — and only the affected (ingress,
+        destination) combinations are re-traced.  ``combos`` optionally
+        passes the precomputed ``(ingress, dst) → fec ids`` grouping so a
+        sweep does not regroup per contingency.
 
         ``parent`` is the incremental-derivation seam: a ``(simulator,
         snapshot)`` pair for a *neighboring* contingency (typically this
-        contingency's (k−1)-failure parent, which differs by one link).  When
-        given, the changed-FIB-decision criterion runs against the parent's
-        FIBs and traces instead of the baseline's — far fewer decisions
-        change between lattice neighbors than against the healthy network —
-        and uses the :meth:`changed_routers` delta index.  Unchanged classes
-        adopt the parent's graph objects, which is sound by induction: the
-        parent snapshot is (content-)identical to what full simulation would
-        produce, and an unaffected class forwards identically to the parent.
-        With ``parent=None`` the legacy from-baseline scan is used verbatim.
+        contingency's (k−1)-failure parent, which differs by one link).  The
+        changed-FIB-decision criterion runs against the parent's FIBs and
+        traces — far fewer decisions change between lattice neighbors than
+        against the healthy network.  Unchanged classes adopt the parent's
+        graph objects, which is sound by induction: the parent snapshot is
+        (content-)identical to what full simulation would produce, and an
+        unaffected class forwards identically to the parent.  A missing
+        ``parent`` means ``(baseline, base_snapshot)``.
 
         ``siblings`` are *secondary* references consulted when the parent's
         criterion fails — typically the single-failure node of the last
@@ -461,14 +439,6 @@ class Simulator:
         if combos is None:
             combos = group_fec_combos(base_snapshot.fecs())
         granularity = base_snapshot.granularity
-        if parent is None:
-            for (ingress, destination), fec_ids in combos.items():
-                if self.trace_unchanged(baseline, ingress, destination):
-                    continue
-                graph = self.trace(ingress, destination, granularity=granularity)
-                for fec_id in fec_ids:
-                    derived.replace(fec_id, graph)
-            return derived
         destinations = {dst for _, dst in combos}
         delta = self.changed_routers(reference, destinations)
         sibling_refs = [

@@ -273,31 +273,46 @@ def decode_spec(obj: Any, *, what: str = "spec") -> RelaSpec | SpecPolicy:
     raise ProtocolError(f"{what} needs a 'program' or 'pickle' field")
 
 
-#: Options fields settable through the JSON form.  ``fault_plan`` is
-#: deliberately absent: fault schedules are harness objects with no JSON
-#: form and ride the pickle escape hatch (``pickle_b64(options)``).
-_OPTION_FIELDS = frozenset(
+#: Options fields settable through the JSON form, by value type.
+#: ``fault_plan`` is deliberately absent: fault schedules are harness
+#: objects with no JSON form and ride the pickle escape hatch
+#: (``pickle_b64(options)``).
+_COUNT_FIELDS = frozenset(
     {
-        "granularity",
         "max_witnesses",
         "max_paths",
         "max_witness_length",
         "workers",
+        "max_retries",
+        "max_pool_rebuilds",
+    }
+)
+_FLAG_FIELDS = frozenset(
+    {
         "collect_counterexamples",
         "fast_path_identical_graphs",
         "memoize_fec_checks",
         "lazy_spec_compilation",
-        "check_timeout",
-        "max_retries",
-        "retry_backoff",
         "allow_degraded",
-        "max_pool_rebuilds",
     }
 )
+_OPTION_FIELDS = _COUNT_FIELDS | _FLAG_FIELDS | {"granularity", "check_timeout", "retry_backoff"}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, int | float) and not isinstance(value, bool)
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def decode_options(obj: Any, *, what: str = "options") -> VerificationOptions:
-    """Decode engine options: a field dictionary, a pickle, or ``None``."""
+    """Decode engine options: a field dictionary, a pickle, or ``None``.
+
+    Field values are type-checked here, so a wrongly typed option is a
+    client error rather than a crash or a silently reinterpreted run.
+    """
     if obj is None:
         return VerificationOptions()
     body = _require_mapping(obj, what)
@@ -310,15 +325,26 @@ def decode_options(obj: Any, *, what: str = "options") -> VerificationOptions:
     if unknown:
         raise ProtocolError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
     kwargs = dict(body)
+    for field, value in kwargs.items():
+        if field in _COUNT_FIELDS:
+            valid, expected = _is_count(value), "a non-negative integer"
+        elif field in _FLAG_FIELDS:
+            valid, expected = isinstance(value, bool), "a boolean"
+        elif field == "check_timeout":
+            valid = value is None or (_is_number(value) and value > 0)
+            expected = "null or a positive number"
+        elif field == "retry_backoff":
+            valid, expected = _is_number(value) and value >= 0, "a non-negative number"
+        else:
+            continue
+        if not valid:
+            raise ProtocolError(f"{what}.{field} must be {expected}, got {value!r}")
     if "granularity" in kwargs:
         try:
             kwargs["granularity"] = Granularity(kwargs["granularity"])
         except ValueError as error:
             raise ProtocolError(f"{what}.granularity: {error}") from error
-    try:
-        return VerificationOptions(**kwargs)
-    except TypeError as error:
-        raise ProtocolError(f"{what}: {error}") from error
+    return VerificationOptions(**kwargs)
 
 
 def decode_budget(body: dict, field: str) -> int | None:
@@ -326,6 +352,6 @@ def decode_budget(body: dict, field: str) -> int | None:
     value = body.get(field)
     if value is None:
         return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_count(value):
         raise ProtocolError(f"{field} must be a non-negative integer")
     return value

@@ -54,10 +54,9 @@ coordinated mechanisms on top:
    effect of the last failed link instead of the cumulative effect of all
    k.  Parents are derived on demand (recursively down to the baseline)
    and cached, so every contingency's parent exists before the contingency
-   itself is derived regardless of sweep order.  Derivation is
-   byte-identical to the from-baseline scan (``incremental=False``); the
-   bench gate ``bench_k2_sweep.py`` pins both the equality and the
-   speedup.
+   itself is derived regardless of sweep order.  Derived snapshots are
+   fingerprint-identical to full re-simulation (pinned by
+   ``tests/verifier/test_sweep_scaleout.py``).
 6. **Prioritized first-worst search** (``run(first_worst=True)``): the
    k≥2 contingencies are reordered by a fragility score seeded from the
    single-failure lattice nodes — the fraction of traffic combinations
@@ -248,8 +247,8 @@ class ContingencyResult:
     expected_holds: bool | None = None
     #: Seconds spent on snapshot *derivation* proper — the change-criterion
     #: screen, affected-trace re-tracing and change application.  This is
-    #: the cost the incremental lattice attacks, gated separately from
-    #: routing in ``check_perf_regression.py --sweep-k2``.
+    #: the cost the incremental lattice attacks, reported separately from
+    #: routing.
     derive_seconds: float = 0.0
     #: Seconds recomputing routing state (BGP fixed point, IGP costs, FIB
     #: build) for this contingency's degraded topology.  Zero when the
@@ -647,14 +646,6 @@ class ContingencySweep:
         across contingencies, which maximizes compiled-spec and verdict
         reuse (it is a performance knob only — reports are identical either
         way).
-    incremental:
-        Derive each k-failure snapshot from its (k−1)-failure lattice
-        parent (the default) instead of re-screening against the healthy
-        baseline.  A performance knob only — derivation is byte-identical
-        either way and the flag is excluded from :meth:`signature` — except
-        that sweeps whose parents are *not* themselves contingencies may
-        intern a few extra reference graphs (``distinct_graphs`` counts
-        them; per-contingency reports are unaffected).
     """
 
     def __init__(
@@ -670,7 +661,6 @@ class ContingencySweep:
         options: VerificationOptions | None = None,
         granularity: Granularity = Granularity.ROUTER,
         include_baseline: bool = True,
-        incremental: bool = True,
     ) -> None:
         self.topology = topology
         self.config = config
@@ -680,7 +670,6 @@ class ContingencySweep:
         self.db = db
         self.options = options
         self.granularity = granularity
-        self.incremental = incremental
         self.contingencies = list(contingencies)
         #: Execution hook handed to the sweep-wide session (see
         #: :attr:`repro.verifier.session.VerificationSession.runner`); the
@@ -845,36 +834,15 @@ class ContingencySweep:
             return state.base_pre, state.base_route_seconds, state.base_derive_seconds
         links = contingency.failed_links
         lattice = state.lattice
-        if self.incremental:
-            cached = lattice.cached(links)
-            if cached is not None:
-                # Already derived — by prioritization's fragility probe or a
-                # duplicate failure set.  Its cost was paid where it happened.
-                return cached[1], 0.0, 0.0
-            route_base = lattice.route_seconds
-            derive_base = lattice.derive_seconds
-            parent = lattice.parent(links)
-            siblings = lattice.siblings(links)
-            route_started = time.perf_counter()
-            failed_sim = state.base_sim.under_failure(links)
-            failed_sim.fib()
-            route_seconds = time.perf_counter() - route_started
-            derive_started = time.perf_counter()
-            pre = failed_sim.derive_snapshot(
-                state.base_sim,
-                state.base_pre,
-                name=f"sweep-pre@{contingency.contingency_id}",
-                combos=state.combos,
-                parent=parent,
-                siblings=siblings,
-            )
-            derive_seconds = time.perf_counter() - derive_started
-            lattice.offer(links, failed_sim, pre)
-            # Parent-chain work the lattice did on this unit's behalf is
-            # this unit's cost.
-            route_seconds += lattice.route_seconds - route_base
-            derive_seconds += lattice.derive_seconds - derive_base
-            return pre, route_seconds, derive_seconds
+        cached = lattice.cached(links)
+        if cached is not None:
+            # Already derived — by prioritization's fragility probe or a
+            # duplicate failure set.  Its cost was paid where it happened.
+            return cached[1], 0.0, 0.0
+        route_base = lattice.route_seconds
+        derive_base = lattice.derive_seconds
+        parent = lattice.parent(links)
+        siblings = lattice.siblings(links)
         route_started = time.perf_counter()
         failed_sim = state.base_sim.under_failure(links)
         failed_sim.fib()
@@ -885,8 +853,16 @@ class ContingencySweep:
             state.base_pre,
             name=f"sweep-pre@{contingency.contingency_id}",
             combos=state.combos,
+            parent=parent,
+            siblings=siblings,
         )
-        return pre, route_seconds, time.perf_counter() - derive_started
+        derive_seconds = time.perf_counter() - derive_started
+        lattice.offer(links, failed_sim, pre)
+        # Parent-chain work the lattice did on this unit's behalf is
+        # this unit's cost.
+        route_seconds += lattice.route_seconds - route_base
+        derive_seconds += lattice.derive_seconds - derive_base
+        return pre, route_seconds, derive_seconds
 
     def _run(
         self,

@@ -89,7 +89,6 @@ class SweepScenario:
         *,
         options: VerificationOptions | None = None,
         include_baseline: bool = True,
-        incremental: bool = True,
     ) -> ContingencySweep:
         """A ready-to-run sweep of this scenario over ``contingencies``."""
         if options is None:
@@ -105,7 +104,6 @@ class SweepScenario:
             options=options,
             granularity=self.granularity,
             include_baseline=include_baseline,
-            incremental=incremental,
         )
 
 

@@ -16,8 +16,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.serve import protocol
 from repro.serve.client import ServeClient
+from repro.serve.host import SessionHost
 from repro.verifier import VerificationSession
 
 from serve_helpers import start_daemon  # pytest puts tests/serve on sys.path
@@ -162,6 +165,59 @@ def test_malformed_bodies_get_structured_400_and_daemon_survives(daemon):
         assert payload["error"]["code"]
         assert "Traceback" not in payload["error"]["message"]
     assert client.healthz().status == 200  # still serving
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"workers": "two"},
+        {"workers": 2.5},
+        {"workers": True},
+        {"max_retries": -1},
+        {"check_timeout": "1"},
+        {"check_timeout": 0},
+        {"collect_counterexamples": "no"},
+        {"allow_degraded": 1},
+        {"retry_backoff": "0.1"},
+        {"retry_backoff": -0.5},
+    ],
+    ids=repr,
+)
+def test_wrongly_typed_options_get_structured_400(stream_world, options):
+    """Option values are type-checked: no 500, no silently reinterpreted run."""
+    _backbone, initial = stream_world
+    body = {
+        "pre": {"data": initial.to_dict()},
+        "post": {"data": initial.to_dict()},
+        "spec": {"program": "spec change := { .* : preserve ; }"},
+        "options": options,
+    }
+    status, payload = SessionHost().handle_json(
+        "POST", "/v1/verify", protocol.canonical_json(body)
+    )
+    assert status == 400, payload
+    assert payload["error"]["code"] == "bad-request"
+    assert next(iter(options)) in payload["error"]["message"]
+
+
+def test_well_typed_options_are_accepted(stream_world):
+    _backbone, initial = stream_world
+    body = {
+        "pre": {"data": initial.to_dict()},
+        "post": {"data": initial.to_dict()},
+        "spec": {"program": "spec change := { .* : preserve ; }"},
+        "options": {
+            "workers": 1,
+            "check_timeout": 30,
+            "retry_backoff": 0,
+            "collect_counterexamples": False,
+        },
+    }
+    status, payload = SessionHost().handle_json(
+        "POST", "/v1/verify", protocol.canonical_json(body)
+    )
+    assert status == 200, payload
+    assert payload["report"]["verdict"] == "holds"
 
 
 def test_oversized_body_gets_structured_400(daemon_factory):

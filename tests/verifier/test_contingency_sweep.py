@@ -186,12 +186,17 @@ def test_trace_unchanged_is_sound_and_reuses_objects(world):
         failed = base.under_failure([pair])
         derived = failed.derive_snapshot(base, base_snapshot)
         full = failed.snapshot(fecs, name="full")
+        changed = failed.changed_routers(base, {str(fec.dst_prefix) for fec in fecs})
+        reused = 0
         for fec in fecs:
             derived_graph = derived.graph(fec.fec_id)
             assert derived_graph.fingerprint() == full.graph(fec.fec_id).fingerprint()
-            if failed.trace_unchanged(base, fec.ingress, fec.dst_prefix):
+            base_trace = base.router_trace(fec.ingress, fec.dst_prefix)
+            if changed[str(fec.dst_prefix)].isdisjoint(base_trace.nodes):
                 # Reuse is by object identity: the baseline's interned graph.
                 assert derived_graph is base_snapshot.graph(fec.fec_id)
+                reused += 1
+        assert reused > 0
 
 
 def test_snapshot_with_shared_store_interns_across_snapshots(world):

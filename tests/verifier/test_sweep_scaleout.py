@@ -4,8 +4,9 @@ Two mechanisms let ``ContingencySweep`` take on the k=2/k=3 failure
 spaces, and each carries a byte-identity obligation this suite pins:
 
 * **Incremental lattice derivation** — a k-failure snapshot derived from
-  its (k−1)-failure parent must be content-identical to the from-baseline
-  scan (and to full re-simulation), at every k.  A stale ``under_failure``
+  its (k−1)-failure parent must be content-identical to full
+  re-simulation, at every k, and a lattice sweep must agree with naive
+  per-contingency one-shot runs.  A stale ``under_failure``
   memo or an unsound changed-router criterion shows up here first.
 * **Prioritized first-worst search** — ``run(first_worst=True)`` is a
   search *order*, not a semantics change: run to completion it must agree
@@ -29,6 +30,8 @@ from repro.workloads.contingencies import (
     refactor_sweep_scenario,
 )
 from repro.workloads.traffic import generate_fecs
+
+from test_contingency_sweep import naive_reports  # pytest puts tests/verifier on sys.path
 
 
 def report_facts(report) -> dict:
@@ -81,13 +84,13 @@ def sweep_facts(report) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Incremental derivation: parent-derived == from-baseline == re-simulated
+# Incremental derivation: parent-derived == re-simulated
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("k", [2, 3])
 def test_incremental_derivation_is_byte_identical(world, k):
     """The memo-staleness regression test: chained ``under_failure`` +
-    parent-derived snapshots must match the from-baseline scan and full
-    re-simulation, fingerprint for fingerprint, at k=2 and k=3."""
+    parent-derived snapshots must match full re-simulation, fingerprint for
+    fingerprint, at k=2 and k=3."""
     backbone, fecs = world
     base = Simulator(backbone.topology, backbone.config)
     base_snapshot = base.snapshot(fecs, name="base")
@@ -103,14 +106,10 @@ def test_incremental_derivation_is_byte_identical(world, k):
                 base, base_snapshot, combos=combos, parent=parent
             )
             parent = (sim, incremental)
-        from_baseline = base.under_failure(links).derive_snapshot(
-            base, base_snapshot, combos=combos
-        )
         resimulated = base.under_failure(links).snapshot(fecs, name="resim")
         assert parent is not None
         for fec in fecs:
             fp = parent[1].graph(fec.fec_id).fingerprint()
-            assert fp == from_baseline.graph(fec.fec_id).fingerprint(), fec.fec_id
             assert fp == resimulated.graph(fec.fec_id).fingerprint(), fec.fec_id
 
 
@@ -120,28 +119,32 @@ def test_incremental_derivation_is_byte_identical(world, k):
     ids=["clean", "buggy", "buggy-workers2"],
 )
 def test_incremental_sweep_equals_legacy_sweep(world, buggy, workers):
-    """The sweep-level differential: ``incremental=True`` (the default
-    lattice path, serial or through the worker pool) and
-    ``incremental=False`` (from-baseline derivation, serial) agree on every
-    report fact, dedup accounting and execution order included."""
+    """The sweep-level differential: the lattice sweep (serial or through the
+    worker pool) agrees with naive per-contingency one-shot runs over
+    independently simulated snapshots on every report fact, in execution
+    order."""
     backbone, _ = world
     candidates = intra_region_bundles(backbone)
     contingencies = single_link_failures(backbone.topology, candidates=candidates)
     contingencies += k_link_failures(backbone.topology, 2, candidates=candidates, limit=4)
 
-    def run(incremental, workers=1):
-        scenario = drain_sweep_scenario(backbone, num_fecs=96, buggy=buggy)
-        options = VerificationOptions(granularity=scenario.granularity, workers=workers)
-        sweep = scenario.sweep(
-            list(contingencies), options=options, incremental=incremental
-        )
-        return sweep.run()
-
-    lattice, legacy = run(True, workers), run(False)
-    assert sweep_facts(lattice) == sweep_facts(legacy)
-    assert [r.contingency.contingency_id for r in lattice.results] == [
-        r.contingency.contingency_id for r in legacy.results
+    scenario = drain_sweep_scenario(backbone, num_fecs=96, buggy=buggy)
+    options = VerificationOptions(granularity=scenario.granularity, workers=workers)
+    lattice = scenario.sweep(list(contingencies), options=options).run()
+    naive = naive_reports(
+        backbone, scenario, [r.contingency for r in lattice.results], options
+    )
+    # The sweep prepends the baseline and runs the rest in list order.
+    assert [r.contingency.contingency_id for r in lattice.results[1:]] == [
+        c.contingency_id for c in contingencies
     ]
+    for result, (contingency, naive_report, naive_expected) in zip(lattice.results, naive):
+        context = contingency.contingency_id
+        assert result.expected_holds == naive_expected, context
+        assert report_facts(result.report) == report_facts(naive_report), context
+        assert result.report.unique_checks == naive_report.unique_checks, context
+    assert not lattice.expectation_mismatches
+    assert lattice.holds is not buggy
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,23 @@ def test_verify_nochange_pass_and_fail():
     assert "Cause of violation" in report.table()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_same_nodes_different_edges_is_a_change(workers):
+    """Equal node, source and sink sets do not make two graphs identical:
+    rewiring one edge changes the path set, so ``nochange`` is violated."""
+    pre, post = make_pair(
+        {"f1": [("a", "b", "c", "d"), ("a", "c", "d")]},
+        {"f1": [("a", "b", "c", "d"), ("a", "b", "d")]},
+    )
+    pre_graph, post_graph = pre.graph("f1"), post.graph("f1")
+    assert pre_graph.nodes == post_graph.nodes
+    assert (pre_graph.sources, pre_graph.sinks) == (post_graph.sources, post_graph.sinks)
+    assert pre_graph.edges != post_graph.edges
+    report = verify_change(pre, post, nochange(), options=VerificationOptions(workers=workers))
+    assert report.verdict == "violated"
+    assert report.violating_fecs == 1
+
+
 def test_verify_missing_fec_counts_as_empty():
     pre, post = make_pair({"f1": [("a", "b")]}, {})
     report = verify_change(pre, post, nochange())
