@@ -112,9 +112,6 @@ VERDICT_RELEVANT_OPTION_FIELDS = (
     "max_paths",
     "max_witness_length",
     "collect_counterexamples",
-    "fast_path_identical_graphs",
-    "memoize_fec_checks",
-    "lazy_spec_compilation",
 )
 
 

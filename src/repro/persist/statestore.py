@@ -201,7 +201,12 @@ class StateStore:
             if isinstance(record, dict) and record.get("record") == "session":
                 payload = record  # the last one wins (rewrites keep only one)
         if payload is None:
-            raise StateVersionError(f"no saved session in state store {self.path}")
+            # A session written by a build whose pickled classes have since
+            # changed shape fails to decode and is dropped by recovery: name
+            # that cause instead of reporting an empty store.
+            damage = self.last_recovery
+            cause = f" ({damage.reason})" if damage is not None and damage.reason else ""
+            raise StateVersionError(f"no saved session in state store {self.path}{cause}")
         if payload.get("format") != SESSION_FORMAT:
             raise StateVersionError(
                 f"state store {self.path} holds a format-{payload.get('format')!r} "

@@ -10,7 +10,9 @@ automata (typically converted from forwarding DAGs by
 Relations can be compiled two ways:
 
 * :func:`compile_rel` — fully eager; every union, composition and identity
-  is materialized as a concrete FST.  Kept as the reference oracle.
+  is materialized as a concrete FST.  Kept as the reference oracle; its
+  one verifier-level caller is the test reference
+  :func:`repro.testing.reference.naive_verify`.
 * :func:`compile_rel_lazy` — the spec-compilation path.  Unions and
   compositions become delayed nodes (:class:`~repro.automata.lazy.LazyUnion`,
   :class:`~repro.automata.lazy.LazyCompose`), identities and cross products

@@ -290,9 +290,6 @@ _COUNT_FIELDS = frozenset(
 _FLAG_FIELDS = frozenset(
     {
         "collect_counterexamples",
-        "fast_path_identical_graphs",
-        "memoize_fec_checks",
-        "lazy_spec_compilation",
         "allow_degraded",
     }
 )

@@ -1,11 +1,14 @@
 """Deterministic test harnesses for the repro package.
 
 Home to the fault-injection plans (:mod:`repro.testing.faults`) the
-resilience runtime's differential tests are driven by, and to the naive
+resilience runtime's differential tests are driven by, to the naive
 route-computation reference (:mod:`repro.testing.routing`) the simulator's
-differential tests compare against.  Nothing in ``src/repro`` outside the
-verifier's injection seams depends on this package, and nothing here
-depends on the verifier — plans are plain data.
+differential tests compare against, and to the naive per-FEC verifier
+(:mod:`repro.testing.reference`) the engine's grouping, caching and lazy
+spec compilation are pinned against.  Nothing in ``src/repro`` outside the
+verifier's injection seams depends on this package.  The verifier
+reference depends on the verifier, so this package does not import it:
+import :mod:`repro.testing.reference` directly.
 """
 
 from repro.testing.faults import Fault, FaultPlan, InjectedFault, seeded_fault_plan

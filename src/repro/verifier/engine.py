@@ -23,7 +23,9 @@ Three engine-level optimizations keep backbone-scale runs cheap:
   re-hashing — and each distinct graph pair is checked once.  The thousands
   of identical or unchanged graphs in a backbone change share one check,
   generalizing the preserve-only fast path to every spec; memoized
-  counterexamples are re-attributed to each member FEC.
+  counterexamples are re-attributed to each member FEC.  The per-FEC
+  oracle this grouping is pinned against is
+  :func:`repro.testing.reference.naive_verify`.
 * **Streaming the all-pass common case**: per-FEC descriptions
   (``str(fec)``) and counterexample relabeling are built lazily, only for
   violating FECs, so a change over 10^5 classes that holds allocates
@@ -60,12 +62,12 @@ from repro.automata.fsa import FSA
 from repro.automata.fst import FST
 from repro.automata.lazy import LazyFST, LazyUnion
 from repro.errors import VerificationError
-from repro.rela.compile import branch_relations, hash_expansions, post_relation, pre_relation, zone
+from repro.rela.compile import branch_relations, hash_expansions, zone
 from repro.rela.locations import Granularity, LocationDB
 from repro.rela.modifiers import Preserve
 from repro.rela.pspec import SpecPolicy
 from repro.rela.spec import AtomicSpec, ElseSpec, RelaSpec, SeqSpec, flatten_else
-from repro.rir import RIRContext, compile_rel, compile_rel_lazy
+from repro.rir import RIRContext, compile_rel_lazy
 from repro.rir import ast as rir
 from repro.snapshots.forwarding_graph import ForwardingGraph
 from repro.snapshots.snapshot import Snapshot
@@ -93,24 +95,6 @@ class VerificationOptions:
     workers: int = 1
     #: Attach full counterexample detail (set False for timing-only runs).
     collect_counterexamples: bool = True
-    #: Skip automaton construction for preserve-only specs when the pre and
-    #: post forwarding graphs are structurally identical (sound because the
-    #: pre- and post-relations of preserve-only specs coincide), and reuse
-    #: the pre-state FSA as the post-state FSA for identical graphs under
-    #: any spec.  Set False to force fully independent per-side work (used
-    #: by benchmarks that measure the unshortcut automata path).
-    fast_path_identical_graphs: bool = True
-    #: Check each distinct (spec, pre graph, post graph) combination once
-    #: and share the verdict across FECs with identical fingerprints.  Set
-    #: False to force one independent check per FEC.
-    memoize_fec_checks: bool = True
-    #: Compile spec relations as delayed-operation DAGs (lazy composition /
-    #: union / complement-zone identities) that are only forced at the image
-    #: decision boundary.  Set False to materialize every relation FST
-    #: eagerly, as the seed implementation did — kept as the reference
-    #: oracle; deep ``else`` chains (30+ atomic branches) are intractable on
-    #: the eager path.
-    lazy_spec_compilation: bool = True
     #: Wall-clock budget (seconds) for one FEC check; ``None`` disables the
     #: per-check deadline.  Enforced with ``SIGALRM`` where available, on
     #: the serial path and inside worker processes alike; a check that keeps
@@ -156,22 +140,19 @@ class CompiledBranch:
     post_rel: rir.Rel
     hash_expansion: str | None
     ctx: RIRContext
-    lazy: bool = True
     _pre_fst: FST | LazyFST | None = None
     _post_fst: FST | LazyFST | None = None
 
     @property
     def pre_fst(self) -> FST | LazyFST:
         if self._pre_fst is None:
-            compiler = compile_rel_lazy if self.lazy else compile_rel
-            self._pre_fst = compiler(self.pre_rel, self.ctx)
+            self._pre_fst = compile_rel_lazy(self.pre_rel, self.ctx)
         return self._pre_fst
 
     @property
     def post_fst(self) -> FST | LazyFST:
         if self._post_fst is None:
-            compiler = compile_rel_lazy if self.lazy else compile_rel
-            self._post_fst = compiler(self.post_rel, self.ctx)
+            self._post_fst = compile_rel_lazy(self.post_rel, self.ctx)
         return self._post_fst
 
 
@@ -203,33 +184,29 @@ def _is_preserve_only(spec: RelaSpec) -> bool:
     return False
 
 
-def compile_spec(spec: RelaSpec, alphabet: Alphabet, *, lazy: bool = True) -> CompiledSpec:
+def compile_spec(spec: RelaSpec, alphabet: Alphabet) -> CompiledSpec:
     """Compile a Rela spec over ``alphabet`` (done once per run).
 
-    With ``lazy=True`` (the default) the overall pre/post relations become
-    delayed-operation DAGs — branch shadowing never materializes the
-    product — and the per-branch attribution relations are recorded
-    symbolically, to be compiled only on the first violation of that branch.
-    ``lazy=False`` reproduces the fully eager seed behaviour and is kept as
-    the reference oracle.
+    The overall pre/post relations become delayed-operation DAGs — branch
+    shadowing never materializes the product — and the per-branch
+    attribution relations are recorded symbolically, to be compiled only on
+    the first violation of that branch.  The fully eager seed compilation
+    survives only as the test oracle
+    (:func:`repro.testing.reference.naive_verify`).
     """
     empty = FSA.empty_language(alphabet)
     ctx = RIRContext(alphabet, empty, empty)
     shadowed = branch_relations(spec)
 
-    if lazy:
-        # The nested Figure 4 translation R1 | (I(¬Z1) ∘ (R2 | ...)) is
-        # algebraically the flat prioritized union of shadowed branches
-        # ⋃_i I(¬(Z1|...|Z_{i-1})) ∘ R_i, because composed identity
-        # restrictions intersect: I(¬Z1) ∘ I(¬Z2) = I(¬(Z1|Z2)).  The flat
-        # form keeps a delayed product state at one (shadow, branch) pair
-        # instead of stacking one zone automaton per enclosing else level,
-        # and the n-ary LazyUnion dispatches in one hop.
-        pre_fst = _union_rels([compile_rel_lazy(pre, ctx) for _, pre, _ in shadowed])
-        post_fst = _union_rels([compile_rel_lazy(post, ctx) for _, _, post in shadowed])
-    else:
-        pre_fst = compile_rel(pre_relation(spec), ctx)
-        post_fst = compile_rel(post_relation(spec), ctx)
+    # The nested Figure 4 translation R1 | (I(¬Z1) ∘ (R2 | ...)) is
+    # algebraically the flat prioritized union of shadowed branches
+    # ⋃_i I(¬(Z1|...|Z_{i-1})) ∘ R_i, because composed identity
+    # restrictions intersect: I(¬Z1) ∘ I(¬Z2) = I(¬(Z1|Z2)).  The flat form
+    # keeps a delayed product state at one (shadow, branch) pair instead of
+    # stacking one zone automaton per enclosing else level, and the n-ary
+    # LazyUnion dispatches in one hop.
+    pre_fst = _union_rels([compile_rel_lazy(pre, ctx) for _, pre, _ in shadowed])
+    post_fst = _union_rels([compile_rel_lazy(post, ctx) for _, _, post in shadowed])
 
     branches: list[CompiledBranch] = []
     for index, (branch, branch_pre, branch_post) in enumerate(shadowed):
@@ -241,7 +218,6 @@ def compile_spec(spec: RelaSpec, alphabet: Alphabet, *, lazy: bool = True) -> Co
                 post_rel=branch_post,
                 hash_expansion=str(expansions[0]) if expansions else None,
                 ctx=ctx,
-                lazy=lazy,
             )
         )
     return CompiledSpec(
@@ -289,10 +265,11 @@ def _check_one_fec(
     """Check one flow equivalence class; return a counterexample on failure."""
     pre_converted = builder.convert(pre_graph)
     post_converted = builder.convert(post_graph)
-    graphs_identical = options.fast_path_identical_graphs and _graphs_identical(
-        pre_converted, post_converted
-    )
+    graphs_identical = _graphs_identical(pre_converted, post_converted)
 
+    # Preserve-only specs relate a path set to itself, so identical graphs
+    # hold without building an automaton; under any other spec identical
+    # graphs still share one state FSA.
     if compiled.preserve_only and graphs_identical:
         return None
 

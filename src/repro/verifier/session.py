@@ -69,9 +69,8 @@ from repro.verifier.report import StreamReport, VerificationReport
 from repro.verifier.runtime import CheckFailure, ExecutionResult, execute_checks
 from repro.verifier.state_automata import StateAutomatonBuilder, build_alphabet
 
-#: Epoch-local identity of one check: ``(spec key, pre ref, post ref)`` when
-#: dedup is on, ``(spec key, fec id)`` when every FEC is checked alone.
-MemoKey = tuple[str, int, int] | tuple[str, str]
+#: Epoch-local identity of one check: FECs sharing a key share one verdict.
+MemoKey = tuple[str, int, int]
 
 #: Sentinel distinguishing "cached None verdict" from "not cached".
 _MISS = object()
@@ -296,7 +295,6 @@ class VerificationSession:
         fec_ids = list(dict.fromkeys(pre.fec_ids() + post.fec_ids()))
         pre_cache = self._localizer(pre.store)
         post_cache = self._localizer(post.store)
-        memoize = options.memoize_fec_checks
         cache_token = context.token
         guarded_specs = context.guarded_specs
 
@@ -316,21 +314,17 @@ class VerificationSession:
                         break
             pre_ref = self._session_ref(pre.graph_ref(fec_id), pre, pre_cache)
             post_ref = self._session_ref(post.graph_ref(fec_id), post, post_cache)
-            if memoize:
-                memo_key: MemoKey = (spec_key, pre_ref, post_ref)
-            else:
-                memo_key = (spec_key, fec_id)  # unique per FEC: no sharing
+            memo_key = (spec_key, pre_ref, post_ref)
             membership.append((fec_id, memo_key))
             if memo_key in seen_keys:
                 continue
             seen_keys.add(memo_key)
-            if memoize:
-                cached = self._verdicts.get((cache_token, spec_key, pre_ref, post_ref), _MISS)
-                if cached is not _MISS:
-                    outcomes[memo_key] = cached
-                    cached_hits += 1
-                    continue
-            to_check.append((fec_id, spec_key, pre_ref, post_ref))
+            cached = self._verdicts.get((cache_token, *memo_key), _MISS)
+            if cached is not _MISS:
+                outcomes[memo_key] = cached
+                cached_hits += 1
+                continue
+            to_check.append((fec_id, *memo_key))
             key_of_representative[fec_id] = memo_key
 
         report = VerificationReport(
@@ -370,7 +364,7 @@ class VerificationSession:
                 # must never enter the persistent cache (the next epoch —or a
                 # retry of this one— should re-execute the check, not be
                 # served a stale failure).
-                if memoize and not isinstance(outcome, CheckFailure):
+                if not isinstance(outcome, CheckFailure):
                     self._verdicts[(cache_token, spec_key, pre_ref, post_ref)] = outcome
                     if self._delta_log is not None:
                         self._delta_log.append(
@@ -747,7 +741,7 @@ class VerificationSession:
                 alphabet=alphabet, granularity=self.options.granularity, db=self.db
             )
             compiled_specs = {
-                spec_key: compile_spec(value, alphabet, lazy=self.options.lazy_spec_compilation)
+                spec_key: compile_spec(value, alphabet)
                 for spec_key, value in specs_to_compile.items()
             }
             context = _CompiledContext(

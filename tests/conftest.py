@@ -33,3 +33,21 @@ def small_backbone():
     fecs = generate_fecs(backbone, max_classes=12)
     snapshot = backbone.simulator().snapshot(fecs, name="pre")
     return backbone, fecs, snapshot
+
+
+@pytest.fixture(scope="session")
+def distinct_graph_world():
+    """A backbone and 48 FECs whose forwarding graphs are pairwise distinct.
+
+    Every FEC is its own dedup group under default options, so a worker
+    pool gets one work item per FEC (48 items, 6 per batch at 2 workers)
+    to crash, bisect and resubmit, and a fault keyed on any FEC targets a
+    check that actually runs.
+    """
+    backbone = generate_backbone(
+        BackboneParams(regions=6, routers_per_group=2, parallel_links=1, prefixes_per_region=2)
+    )
+    fecs = generate_fecs(backbone)[:48]
+    snapshot = backbone.simulator().snapshot(fecs, name="distinct")
+    assert snapshot.distinct_graph_count() == len(fecs) == 48
+    return backbone, fecs

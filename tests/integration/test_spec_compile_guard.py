@@ -87,7 +87,8 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 from repro.rela.compile import zone
 from repro.rela.spec import flatten_else
-from repro.verifier import build_alphabet, compile_spec
+from repro.testing.reference import compile_spec_eager
+from repro.verifier import build_alphabet
 from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.changes import independent_multi_shift
 from repro.workloads.traffic import generate_fecs
@@ -104,16 +105,13 @@ for branch in flatten_else(scenario.spec):
 alphabet = build_alphabet(
     scenario.pre, scenario.post, db=backbone.location_db(), extra_symbols=spec_symbols
 )
-compiled = compile_spec(scenario.spec, alphabet, lazy=False)
-for branch in compiled.branches:
-    branch.pre_fst
-    branch.post_fst
+compile_spec_eager(scenario.spec, alphabet)  # branch transducers included
 print("EAGER_COMPLETED")
 """
 
 
 def test_eager_compilation_still_cliffs_on_30_plus_branches():
-    """The eager oracle path still cannot compile the 37-branch spec.
+    """The eager reference compiler still cannot compile the 37-branch spec.
 
     This is the cliff's regression marker: if the eager pipeline ever
     finishes the scenario-35-class compile within budget, this test fails

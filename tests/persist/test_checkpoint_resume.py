@@ -141,17 +141,11 @@ def test_sweep_resume_without_checkpoint_rejected(sweep_world):
         scenario.sweep(contingencies).run(resume=True)
 
 
-@pytest.mark.parametrize(
-    "workers,memoize",
-    [(1, True), (1, False), (2, True)],
-    ids=["serial", "memoize-off", "workers"],
-)
-def test_sweep_interrupt_resume_differential(
-    sweep_world, tmp_path, monkeypatch, workers, memoize
-):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+def test_sweep_interrupt_resume_differential(sweep_world, tmp_path, monkeypatch, workers):
     """An interrupted-then-resumed sweep is byte-identical to a straight run."""
     _, scenario, contingencies = sweep_world
-    options = VerificationOptions(workers=workers, memoize_fec_checks=memoize)
+    options = VerificationOptions(workers=workers)
     control = sweep_facts(scenario.sweep(contingencies, options=options).run())
 
     path = tmp_path / "sweep.ckpt"

@@ -24,6 +24,7 @@ from repro.verifier import (
 )
 from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.contingencies import drain_sweep_scenario
+from repro.workloads.stream import rolling_drain_stream
 
 
 def wire_bytes(payload: dict) -> bytes:
@@ -199,9 +200,7 @@ def test_one_shot_verify_worker_path(stream_world, daemon, make_epochs):
 
 
 @pytest.mark.parametrize("attempts", [1, POISON], ids=["transient", "poison"])
-def test_worker_crash_in_shared_pool_byte_identical(
-    stream_world, daemon, make_epochs, attempts
-):
+def test_worker_crash_in_shared_pool_byte_identical(distinct_graph_world, daemon, attempts):
     """A worker death inside the daemon's pool is recovered there.
 
     Crash exposure rides with every batch, so the shared pool numbers a
@@ -209,12 +208,13 @@ def test_worker_crash_in_shared_pool_byte_identical(
     report (rebuild count and ``CheckFailure.attempts`` included) equals
     ``verify_change``'s, and the rebuilt pool serves the next request.
     """
-    _backbone, initial = stream_world
-    post, spec = make_epochs(epochs=1, buggy_epochs=frozenset())[0]
+    backbone, fecs = distinct_graph_world
+    initial = backbone.simulator().snapshot(fecs, name="initial")
+    epoch = rolling_drain_stream(backbone, initial, epochs=1, rotation=2, seed=13).epochs[0]
+    post, spec = epoch.post, epoch.spec
+    assert verify_change(initial, post, spec).unique_checks == 48
     plan = FaultPlan((Fault(kind="crash", fec_id=initial.fec_ids()[0], attempts=attempts),))
-    options = VerificationOptions(
-        workers=2, retry_backoff=0.0, memoize_fec_checks=False, fault_plan=plan
-    )
+    options = VerificationOptions(workers=2, retry_backoff=0.0, fault_plan=plan)
     client = daemon.client()
     body = {
         "pre": {"data": initial.to_dict()},

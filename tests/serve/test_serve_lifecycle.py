@@ -11,6 +11,7 @@ serving afterwards.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -18,10 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.persist.digest import VERDICT_RELEVANT_OPTION_FIELDS
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.host import SessionHost
-from repro.verifier import VerificationSession
+from repro.verifier import VerificationOptions, VerificationSession
 
 from serve_helpers import start_daemon  # pytest puts tests/serve on sys.path
 
@@ -198,6 +200,36 @@ def test_wrongly_typed_options_get_structured_400(stream_world, options):
     assert status == 400, payload
     assert payload["error"]["code"] == "bad-request"
     assert next(iter(options)) in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "field", ["lazy_spec_compilation", "memoize_fec_checks", "fast_path_identical_graphs"]
+)
+def test_retired_option_fields_get_structured_400(stream_world, field):
+    """The retired engine switches are unknown fields, not a tenant-chosen
+    slow path: setting one is a client error that names it."""
+    _backbone, initial = stream_world
+    body = {
+        "pre": {"data": initial.to_dict()},
+        "post": {"data": initial.to_dict()},
+        "spec": {"program": "spec change := { .* : preserve ; }"},
+        "options": {field: False},
+    }
+    status, payload = SessionHost().handle_json(
+        "POST", "/v1/verify", protocol.canonical_json(body)
+    )
+    assert status == 400, payload
+    assert payload["format"] == "repro-error/v1"
+    assert payload["error"]["code"] == "bad-request"
+    assert field in payload["error"]["message"]
+
+
+def test_option_field_lists_move_in_lockstep():
+    """Every engine option is settable on the wire (bar the harness-only
+    fault plan), and every verdict-relevant one is a real option."""
+    fields = {field.name for field in dataclasses.fields(VerificationOptions)}
+    assert fields == protocol._OPTION_FIELDS | {"fault_plan"}
+    assert set(VERDICT_RELEVANT_OPTION_FIELDS) <= fields
 
 
 def test_well_typed_options_are_accepted(stream_world):

@@ -653,13 +653,14 @@ def test_verify_end_to_end_with_injected_timeout(snapshot_files, capsys, monkeyp
     from repro.testing.faults import POISON, Fault, FaultPlan
     from repro.verifier import VerificationOptions
 
+    # "web" and "dns" have distinct graphs, so each is its own check and
+    # the fault keyed on "web" fires under default options.
     plan = FaultPlan((Fault(kind="error", fec_id="web", attempts=POISON),))
     original_options = VerificationOptions
 
     def options_with_plan(**kwargs):
         kwargs.setdefault("fault_plan", plan)
         kwargs.setdefault("retry_backoff", 0.0)
-        kwargs.setdefault("memoize_fec_checks", False)
         return original_options(**kwargs)
 
     monkeypatch.setattr(cli_module, "VerificationOptions", options_with_plan)

@@ -38,30 +38,25 @@ from repro.verifier.report import StreamReport, VerificationReport
 from repro.verifier.runtime import CheckFailure
 from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.contingencies import drain_sweep_scenario
-from repro.workloads.scale import scale_fec_list
 
 
 @pytest.fixture(scope="module")
-def world():
-    backbone = generate_backbone(
-        BackboneParams(regions=3, routers_per_group=2, parallel_links=1, prefixes_per_region=2)
-    )
-    fecs = scale_fec_list(backbone, num_fecs=48)
+def world(distinct_graph_world):
+    backbone, fecs = distinct_graph_world
     sim = backbone.simulator()
     pre = sim.snapshot(fecs, name="pre")
     post = sim.snapshot(fecs, name="post")
     spec = parse_program("spec change := { .* : preserve ; }").spec("change")
+    # One work item per FEC under default options: the worker path gets
+    # real multi-item batches to crash, bisect and re-submit
+    # (48 items / (2 workers * 4) = 6 per batch).
+    assert verify_change(pre, post, spec).unique_checks == 48
     return pre, post, spec
 
 
 def options_for(workers: int, **overrides) -> VerificationOptions:
-    """Fault-suite options: no backoff sleeps, one check per FEC.
-
-    ``memoize_fec_checks=False`` turns every FEC into its own work item, so
-    the worker path gets real multi-item batches to crash, bisect and
-    re-submit (48 items / (2 workers * 4) = 6 per batch).
-    """
-    defaults = dict(workers=workers, retry_backoff=0.0, memoize_fec_checks=False)
+    """Fault-suite options: no backoff sleeps."""
+    defaults = dict(workers=workers, retry_backoff=0.0)
     defaults.update(overrides)
     return VerificationOptions(**defaults)
 
@@ -214,6 +209,24 @@ def test_worker_poison_crash_is_bisected_and_isolated(world):
     assert faulted.failed_checks[0].reason == "crash"
     assert faulted.pool_rebuilds >= 1
     assert faulted.degraded
+
+
+def test_repeated_pool_loss_falls_back_to_serial(world):
+    """Past ``max_pool_rebuilds`` the remaining work runs in-process: the
+    poison check that broke the pool goes unknown there, and nothing else
+    changes."""
+    pre, post, spec = world
+    clean = verify_change(pre, post, spec, options=options_for(2))
+    victim = pre.fec_ids()[0]
+    plan = FaultPlan((Fault(kind="crash", fec_id=victim, attempts=POISON),))
+    faulted = verify_change(
+        pre, post, spec, options=options_for(2, fault_plan=plan, max_pool_rebuilds=0)
+    )
+    assert faulted.serial_fallback is True
+    assert faulted.pool_rebuilds == 1
+    assert faulted.unknown_fec_ids == [victim]
+    assert faulted.verdict == "unknown"
+    assert_equivalent_modulo_unknown(clean, faulted)
 
 
 def test_hang_is_interrupted_by_the_check_deadline(world):

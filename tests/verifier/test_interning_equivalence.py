@@ -1,19 +1,23 @@
 """Interned dedup-first engine vs per-FEC checking: reports must be identical.
 
 The dedup-first engine groups FECs by interned graph refs and checks each
-distinct (spec, pre graph, post graph) combination once
-(``memoize_fec_checks=True``, the default); with the option off every FEC is
-checked independently, exactly like the pre-interning engine.  Both paths
-must produce byte-identical reports — verdicts, per-branch violation counts,
-counterexample attribution and witness sets — over the whole 60-scenario
-change dataset, and the worker path (graphs shipped once via the
-id-indexed table) must agree with the serial path.
+distinct (spec, pre graph, post graph) combination once; the reference
+(:func:`repro.testing.reference.naive_verify` with ``eager=False``, i.e.
+the production spec compiler) checks every FEC independently with no
+interning, grouping or identical-graph shortcut.  Both must produce the
+same wire report — verdicts, per-branch violation counts, counterexample
+attribution and witness sets — over the whole 60-scenario change dataset
+once timing and the check-sharing counters are stripped, and the worker
+path (graphs shipped once via the id-indexed table) must agree with the
+serial path.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.serve.protocol import canonical_json, encode_report, strip_timing
+from repro.testing.reference import naive_verify
 from repro.verifier import VerificationOptions, verify_change
 from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.changes import generate_change_dataset, no_change, traffic_shift
@@ -64,24 +68,24 @@ def report_facts(report) -> dict:
     }
 
 
+def wire(report) -> bytes:
+    """The wire report minus timing and the check-sharing counters."""
+    payload = strip_timing(encode_report(report))
+    del payload["unique_checks"], payload["cached_checks"]
+    return canonical_json(payload)
+
+
 def test_interning_on_vs_off_identical_over_dataset(bench_backbone, dataset):
     backbone, _snapshot = bench_backbone
     db = backbone.location_db()
-    interned = VerificationOptions(memoize_fec_checks=True)
-    independent = VerificationOptions(memoize_fec_checks=False)
     for scenario in dataset:
-        with_interning = verify_change(
-            scenario.pre, scenario.post, scenario.spec, db=db, options=interned
-        )
-        without = verify_change(
-            scenario.pre, scenario.post, scenario.spec, db=db, options=independent
-        )
-        assert with_interning.holds == scenario.expect_holds, scenario.change_id
-        assert report_facts(with_interning) == report_facts(without), scenario.change_id
-        # Dedup never checks more than once per FEC, and the non-interned
-        # path checks exactly once per FEC.
-        assert with_interning.unique_checks <= without.unique_checks
-        assert without.unique_checks == without.total_fecs
+        interned = verify_change(scenario.pre, scenario.post, scenario.spec, db=db)
+        reference = naive_verify(scenario.pre, scenario.post, scenario.spec, db=db, eager=False)
+        assert interned.holds == scenario.expect_holds, scenario.change_id
+        assert wire(interned) == wire(reference), scenario.change_id
+        # Dedup never checks more than once per FEC; the reference checks
+        # exactly once per FEC.
+        assert interned.unique_checks <= reference.unique_checks == reference.total_fecs
 
 
 def test_worker_path_matches_serial_with_violations(bench_backbone):
@@ -118,7 +122,7 @@ def test_worker_path_matches_serial_nochange(bench_backbone):
         scenario.post,
         scenario.spec,
         db=db,
-        options=VerificationOptions(workers=2, memoize_fec_checks=False),
+        options=VerificationOptions(workers=2),
     )
     assert serial.holds and parallel.holds
     assert report_facts(serial) == report_facts(parallel)

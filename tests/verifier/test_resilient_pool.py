@@ -23,9 +23,7 @@ from repro.verifier import VerificationOptions, VerificationSession
 from repro.verifier import runtime
 from repro.verifier.engine import _check_one_fec
 from repro.verifier.runtime import ResilientPool, execute_checks
-from repro.workloads.backbone import BackboneParams, generate_backbone
 from repro.workloads.changes import traffic_shift
-from repro.workloads.scale import scale_fec_list
 
 #: Upper bound on any single wait in this file.
 PATIENCE = 60.0
@@ -39,13 +37,12 @@ def paced_check(*args):
 
 
 @pytest.fixture(scope="module")
-def call():
+def call(distinct_graph_world):
     """The ``execute_checks`` arguments of one real advance: 48 single-FEC
-    checks (memoization off) of a shift with two blackholed bystanders."""
-    backbone = generate_backbone(
-        BackboneParams(regions=3, routers_per_group=2, parallel_links=1, prefixes_per_region=2)
-    )
-    pre = backbone.simulator().snapshot(scale_fec_list(backbone, num_fecs=48), name="pre")
+    checks (one per distinct graph) of a shift with two blackholed
+    bystanders."""
+    backbone, fecs = distinct_graph_world
+    pre = backbone.simulator().snapshot(fecs, name="pre")
     first, second = backbone.regions()[:2]
     scenario = traffic_shift(
         pre,
@@ -59,11 +56,12 @@ def call():
         captured.append(args)
         return execute_checks(*args)
 
-    options = VerificationOptions(workers=2, retry_backoff=0.0, memoize_fec_checks=False)
+    options = VerificationOptions(workers=2, retry_backoff=0.0)
     session = VerificationSession(pre, scenario.spec, options=options)
     session.runner = spy
     assert session.advance(scenario.post).holds is False
     (args,) = captured
+    assert len(args[0]) == 48
     return args
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.testing.reference import naive_verify
 from repro.verifier import (
     VerificationOptions,
     VerificationSession,
@@ -107,18 +108,20 @@ def test_session_equivalent_to_independent_verify_change(stream_world, mixed_str
 
 
 def test_session_equivalence_without_memoization(stream_world):
-    """The per-FEC oracle path (memoize off) rides the session unchanged."""
+    """A warm session agrees with the per-FEC reference, which memoizes
+    nothing: no interning, no grouping, no verdict cache."""
     backbone, initial = stream_world
-    stream = rolling_drain_stream(backbone, initial, epochs=4, rotation=1, seed=3)
-    options = VerificationOptions(memoize_fec_checks=False)
-    session = VerificationSession(initial, options=options)
+    stream = rolling_drain_stream(
+        backbone, initial, epochs=4, rotation=1, seed=3, buggy_epochs={2}
+    )
+    session = VerificationSession(initial)
     for epoch in stream:
         incremental = session.advance(epoch.post, epoch.spec)
-        independent = verify_change(epoch.pre, epoch.post, epoch.spec, options=options)
-        assert report_facts(incremental) == report_facts(independent), epoch.epoch_id
-        # No dedup, hence no sharing and nothing cached across epochs.
-        assert incremental.cached_checks == 0
-        assert incremental.unique_checks == incremental.total_fecs
+        reference = naive_verify(epoch.pre, epoch.post, epoch.spec, eager=False)
+        assert report_facts(incremental) == report_facts(reference), epoch.epoch_id
+        assert reference.unique_checks == reference.total_fecs
+    assert session.stream.cached_checks > 0
+    assert not session.stream.holds  # the buggy epoch tripped
 
 
 def test_session_worker_path_matches_serial(stream_world):
