@@ -11,8 +11,9 @@ The compile is not "milliseconds": most of it is the branch shadows, each a
 left-nested binary ``Union`` of every prior zone whose ``to_fsa`` re-embeds
 the accumulated NFA at every level (about 10 600 ``FSA._embed`` calls per
 compile).  The multi-shift tail's timing is owned by the
-``change_mix`` workload of ``benchmarks/perf``; the eager cliff stays pinned
-by the tier-1 ``tests/integration/test_spec_compile_guard.py`` budget.
+``change_mix`` workload of ``benchmarks/perf``; the tier-1
+``tests/integration/test_spec_compile_guard.py`` holds the 37-atomic chain,
+bare and wrapped in a sequence spec, to a hard wall-clock budget.
 """
 
 from __future__ import annotations

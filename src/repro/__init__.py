@@ -2,7 +2,7 @@
 
 The package is organised as:
 
-* :mod:`repro.automata` — FSA/FST substrate (OpenFST/HFST stand-in);
+* :mod:`repro.automata` — automata and delayed transducers (OpenFST/HFST stand-in);
 * :mod:`repro.rir` — the Regular Intermediate Representation (Section 5.2);
 * :mod:`repro.rela` — the Rela surface language and its compiler (Sections 4-5);
 * :mod:`repro.network` — topology, routing and dataplane simulation substrate;

@@ -2,13 +2,13 @@
 
 This package is the reproduction's stand-in for OpenFST/HFST (Section 7 of
 the paper).  It provides finite state automata (:class:`~repro.automata.fsa.FSA`),
-finite state transducers (:class:`~repro.automata.fst.FST`), a regular
-expression AST and parser, and the comparison routines the Rela decision
-procedure is built on.
+delayed finite state transducers (:class:`~repro.automata.lazy.LazyFST`), a
+regular expression AST and parser, and the comparison routines the Rela
+decision procedure is built on.
 
 Performance architecture
 ------------------------
-The verification hot path (``_check_one_fec`` → ``FST.image`` →
+The verification hot path (``_check_one_fec`` → ``relation_image`` →
 ``compare``) runs once per flow equivalence class, over alphabets with
 hundreds of network locations, so it avoids every construction whose cost
 scales with ``|Sigma|``:
@@ -22,18 +22,12 @@ scales with ``|Sigma|``:
   BFS tree, and the "languages agree" verdict — the common case in change
   validation — costs a single joint pass.  Per-product-state work is bounded
   by the automata's local out-degree, never by ``|Sigma|``.
-* **Fused image** (:meth:`~repro.automata.fst.FST.image`): ``P ▷ R`` walks
-  ``(acceptor, transducer)`` state pairs directly, driven by the acceptor's
-  (small) transition rows against a cached by-input-label arc index on the
-  transducer, instead of materializing ``identity(P)``, a full composition,
-  and a projection per class per spec branch.
 * **Delayed transducer operations** (the OpenFST-style layer in
-  :mod:`repro.automata.lazy`): spec *compilation* is a DAG of delayed
-  nodes instead of materialized transducers.  :class:`~repro.automata.lazy.LazyFST`
-  defines the arc-iteration protocol shared with concrete FSTs — ``initial``,
-  ``is_accepting(state)``, ``eps_arcs(state)`` (input-epsilon arcs as
-  ``(out, dst)`` pairs) and ``step(state, symbol)`` — and the node types
-  compose freely over it:
+  :mod:`repro.automata.lazy`): every relation is a DAG of delayed nodes,
+  never a materialized transducer.  :class:`~repro.automata.lazy.LazyFST`
+  defines the arc-iteration protocol — ``initial``, ``is_accepting(state)``,
+  ``eps_arcs(state)`` (input-epsilon arcs as ``(out, dst)`` pairs) and
+  ``step(state, symbol)`` — and seven node types compose over it:
 
   - :class:`~repro.automata.lazy.LazyIdentity` — ``I(P)``, its language
     determinized along the queried frontier;
@@ -43,20 +37,26 @@ scales with ``|Sigma|``:
   - :class:`~repro.automata.lazy.LazyUnion` /
     :class:`~repro.automata.lazy.LazyCompose` — delayed ``R1 | R2`` and
     ``R1 ∘ R2`` whose pair spaces are interned and expanded on demand, so a
-    30+-branch ``else`` chain never builds the multiplicative product.
+    30+-branch ``else`` chain never builds the multiplicative product;
+  - :class:`~repro.automata.lazy.LazyConcat` /
+    :class:`~repro.automata.lazy.LazyStar` — delayed ``R1 · R2`` and
+    ``R*``, so a sequence spec wrapping an ``else`` chain stays delayed.
 
-  Expansions are memoized per node, and
-  :func:`~repro.automata.lazy.relation_image` (== ``LazyFST.image``) is the
+  Expansions are memoized per node.
+* **One image walk**: :func:`~repro.automata.lazy.relation_image`
+  (== ``LazyFST.image``) computes ``P ▷ R`` as a single fused product walk
+  over ``(acceptor, relation)`` state pairs, driven by the acceptor's
+  (small) transition rows, instead of materializing ``identity(P)``, a full
+  composition, and a projection per class per spec branch.  It is the
   decision boundary that forces a delayed relation against a snapshot
-  automaton; :meth:`LazyFST.to_fst` fully materializes a node for tests.
-* **Eager oracle retained**: the textbook constructions
-  (:meth:`FSA.complete`, :meth:`FSA.complement`, :meth:`FSA.difference`,
-  :meth:`FSA.equivalent`, :meth:`FST.compose`, :meth:`FST.union`,
-  :meth:`FST.image_via_compose`) are kept unchanged and serve as the
-  reference oracle; the property tests in
-  ``tests/automata/test_properties.py`` assert both the lazy decision
-  procedures and the delayed-operation nodes agree with the oracle on
-  randomized automata, including witness sets.
+  automaton, and it polls the cooperative deadline
+  (:mod:`repro.automata.guard`).
+* **Oracles**: the textbook FSA constructions (:meth:`FSA.complete`,
+  :meth:`FSA.complement`, :meth:`FSA.difference`, :meth:`FSA.equivalent`)
+  are kept as the reference for the lazy decision procedures
+  (``tests/automata/test_properties.py``); the delayed nodes and the image
+  walk are pinned against the paper's Appendix A set semantics
+  (:mod:`repro.rir.semantics`) on bounded models.
 """
 
 from repro.automata.alphabet import DROP, HASH, Alphabet
@@ -68,13 +68,14 @@ from repro.automata.equivalence import (
     symmetric_difference,
 )
 from repro.automata.fsa import EPSILON, FSA
-from repro.automata.fst import FST
 from repro.automata.lazy import (
     LazyComplementZone,
     LazyCompose,
+    LazyConcat,
     LazyCross,
     LazyFST,
     LazyIdentity,
+    LazyStar,
     LazyUnion,
     difference_dfa,
     is_equivalent,
@@ -106,7 +107,6 @@ __all__ = [
     "HASH",
     "EPSILON",
     "FSA",
-    "FST",
     "Regex",
     "Empty",
     "Epsilon",
@@ -136,6 +136,8 @@ __all__ = [
     "LazyComplementZone",
     "LazyCross",
     "LazyUnion",
+    "LazyConcat",
+    "LazyStar",
     "LazyCompose",
     "relation_image",
 ]

@@ -1,4 +1,4 @@
-"""On-the-fly (lazy) product constructions and delayed FST operations.
+"""On-the-fly (lazy) product constructions and delayed transducer operations.
 
 The module has two halves, both built on the same idea — explore product
 state spaces along the reachable frontier instead of materializing them:
@@ -27,37 +27,37 @@ determinization of ``B`` on the fly:
   shortest-witness procedure reads the witness straight off the product BFS
   tree.
 
-**Delayed transducer operations** (:class:`LazyFST` and its node types
-:class:`LazyIdentity`, :class:`LazyComplementZone`, :class:`LazyCross`,
-:class:`LazyUnion`, :class:`LazyCompose`).  Spec compilation builds deep
-``identity(complement(zone)) ∘ (branch | ...)`` chains — one shadowing
-prefix per ``else`` branch — and composing those transducers eagerly blows
-up multiplicatively (an OpenFST-style delayed composition problem).  A
-``LazyFST`` is a *recipe*: it exposes the same arc-iteration interface as a
-concrete :class:`~repro.automata.fst.FST` (``initial`` / ``is_accepting`` /
-``eps_arcs`` / ``step``) but expands states on demand and memoizes the
-expansions, so an image query only ever touches the part of the product
-that the acceptor's actual paths reach; the leaves determinize their
-language along that frontier, like the decision procedures above.
-Concrete ``FST``\\ s implement the same protocol, so delayed nodes freely
-mix eager leaves (small atomic relations) with lazy combinators.
-:func:`relation_image` is the decision boundary where a delayed relation is
-forced into a concrete path-set FSA.
+**Delayed transducer operations** (:class:`LazyFST` and its seven node
+types: the leaves :class:`LazyIdentity`, :class:`LazyComplementZone` and
+:class:`LazyCross`, and the combinators :class:`LazyUnion`,
+:class:`LazyConcat`, :class:`LazyStar` and :class:`LazyCompose`).  Spec
+compilation builds deep ``identity(complement(zone)) ∘ (branch | ...)``
+chains — one shadowing prefix per ``else`` branch — and composing those
+transducers eagerly blows up multiplicatively (an OpenFST-style delayed
+composition problem).  A ``LazyFST`` is a *recipe*: it exposes an
+arc-iteration interface (``initial`` / ``is_accepting`` / ``eps_arcs`` /
+``step``) but expands states on demand and memoizes the expansions, so an
+image query only ever touches the part of the product that the acceptor's
+actual paths reach; the leaves determinize their language along that
+frontier, like the decision procedures above.  Every RIR relation
+compiles to these nodes (:func:`repro.rir.compiler.compile_rel_lazy`), and
+:func:`relation_image` is the one place where a delayed relation is forced
+into a concrete path-set FSA.
 
-The eager path (:meth:`FSA.difference`, :meth:`FSA.complement`,
-:meth:`FSA.is_subset_of`, :meth:`FSA.equivalent`, :meth:`FST.compose`,
-:meth:`FST.union`) is kept unchanged as the reference oracle; property tests
-assert both halves agree with the oracle on randomized automata.
+The eager constructions on :class:`FSA` (:meth:`FSA.difference`,
+:meth:`FSA.complement`, :meth:`FSA.is_subset_of`, :meth:`FSA.equivalent`)
+are the reference oracle of the decision procedures; the delayed nodes are
+pinned against the paper's Appendix A set semantics
+(:mod:`repro.rir.semantics`) on bounded models.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.automata.alphabet import require_same_alphabet
-from repro.automata.fsa import EPSILON, FSA, Word
-from repro.automata.fst import FST, Label
+from repro.automata.fsa import EPSILON, FSA, Symbol, Word
 from repro.automata.guard import POLL_MASK, active_deadline, check_deadline
 
 __all__ = [
@@ -70,6 +70,8 @@ __all__ = [
     "LazyComplementZone",
     "LazyCross",
     "LazyUnion",
+    "LazyConcat",
+    "LazyStar",
     "LazyCompose",
     "relation_image",
 ]
@@ -273,8 +275,7 @@ def shortest_witness(left: FSA, right: FSA) -> Word | None:
 # Delayed (OpenFST-style) transducer operations
 # ======================================================================
 #
-# A delayed transducer implements the arc-iteration protocol shared with
-# concrete FSTs:
+# A delayed transducer implements the arc-iteration protocol:
 #
 #   initial                      -- integer identifier of the start state
 #   is_accepting(state)          -- acceptance test
@@ -283,12 +284,14 @@ def shortest_witness(left: FSA, right: FSA) -> Word | None:
 #   step(state, symbol)          -- arcs consuming ``symbol`` on the input
 #                                   tape, as (output_label, dst) pairs
 #
-# States are interned to dense integers per node, so a composition of
-# compositions hashes shallow (int, int) pairs instead of nested tuples.
+# States are integers.  Union and composition intern their (operand, state)
+# pairs densely, so a composition of compositions hashes shallow (int, int)
+# pairs instead of nested tuples; cross product, concatenation and star
+# encode their operands' states arithmetically (a tag bit, an offset).
 # Expansions are memoized: across the many flow equivalence classes of one
 # verification run, each reachable spec-relation state is expanded once.
 
-ArcList = Sequence[tuple[Label, int]]
+ArcList = Sequence[tuple[Symbol, int]]
 
 
 class LazyFST:
@@ -337,43 +340,6 @@ class LazyFST:
     def image(self, fsa: FSA) -> FSA:
         """``P ▷ R`` over the delayed graph (the decision boundary)."""
         return relation_image(self, fsa)
-
-    def _all_arcs(self, state: int) -> Iterator[tuple[Label, Label, int]]:
-        for out_label, dst in self.eps_arcs(state):
-            yield (EPSILON, out_label, dst)
-        for symbol in self.alphabet.ids():
-            for out_label, dst in self.step(state, symbol):
-                yield (symbol, out_label, dst)
-
-    def to_fst(self) -> FST:
-        """Force the delayed graph into a concrete FST.
-
-        This enumerates every symbol of the alphabet at every reachable
-        state, which is exactly the ``|Sigma| * |states|`` materialization
-        the delayed representation avoids — it exists for tests, debugging
-        and pair enumeration, not for the verification path.
-        """
-        fst = FST(self.alphabet)
-        ids = {self.initial: fst.initial}
-        queue: deque[int] = deque([self.initial])
-        while queue:
-            state = queue.popleft()
-            src = ids[state]
-            if self.is_accepting(state):
-                fst.mark_accepting(src)
-            for in_label, out_label, dst in self._all_arcs(state):
-                target = ids.get(dst)
-                if target is None:
-                    target = ids[dst] = fst.add_state()
-                    queue.append(dst)
-                fst.add_arc(src, in_label, out_label, target)
-        return fst
-
-    def relation(
-        self, *, max_count: int = 10_000, max_length: int = 32
-    ) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """The relation as a bounded set of word pairs (via :meth:`to_fst`)."""
-        return self.to_fst().relation(max_count=max_count, max_length=max_length)
 
 
 class LazyIdentity(LazyFST):
@@ -448,7 +414,8 @@ class LazyComplementZone(LazyIdentity):
 class LazyCross(LazyFST):
     """``L(reader) × L(writer)`` with a frontier-determinized reader.
 
-    Mirrors :meth:`FST.cross`: an accepting reader subset (even ids) takes
+    Built as in the paper: the reader reads its language on the input tape
+    while writing epsilon, then an accepting reader subset (even ids) takes
     an epsilon arc into the writer, whose states (odd ids) emit the writer
     automaton's moves as input-epsilon arcs.
     """
@@ -494,10 +461,10 @@ class LazyUnion(LazyFST):
 
     __slots__ = ("operands", "_ids", "_members")
 
-    def __init__(self, *operands: FST | LazyFST) -> None:
+    def __init__(self, *operands: LazyFST) -> None:
         if not operands:
             raise ValueError("LazyUnion needs at least one operand")
-        flattened: list[FST | LazyFST] = []
+        flattened: list[LazyFST] = []
         for operand in operands:
             if isinstance(operand, LazyUnion):
                 flattened.extend(operand.operands)
@@ -505,7 +472,7 @@ class LazyUnion(LazyFST):
                 flattened.append(operand)
         require_same_alphabet(*[operand.alphabet for operand in flattened])
         super().__init__(flattened[0].alphabet)
-        self.operands: tuple[FST | LazyFST, ...] = tuple(flattened)
+        self.operands: tuple[LazyFST, ...] = tuple(flattened)
         self._ids: dict[tuple[int, int], int] = {}
         # State 0 is the fresh initial; _members[0] is a placeholder.
         self._members: list[tuple[int, int]] = [(-1, -1)]
@@ -546,10 +513,79 @@ class LazyUnion(LazyFST):
         ]
 
 
+class LazyConcat(LazyFST):
+    """Delayed relation concatenation ``left · right`` (pairwise on both tapes).
+
+    Left operand states are even ids and right operand states odd ids; an
+    accepting left state takes an epsilon arc into the right operand's
+    initial state, and only right operand states accept.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: LazyFST, right: LazyFST) -> None:
+        require_same_alphabet(left.alphabet, right.alphabet)
+        super().__init__(left.alphabet)
+        self.left = left
+        self.right = right
+        self.initial = left.initial << 1
+
+    def is_accepting(self, state: int) -> bool:
+        return bool(state & 1) and self.right.is_accepting(state >> 1)
+
+    def _expand_eps(self, state: int) -> ArcList:
+        inner = state >> 1
+        if state & 1:
+            return [(out, dst << 1 | 1) for out, dst in self.right.eps_arcs(inner)]
+        arcs = [(out, dst << 1) for out, dst in self.left.eps_arcs(inner)]
+        if self.left.is_accepting(inner):
+            arcs.append((EPSILON, self.right.initial << 1 | 1))
+        return arcs
+
+    def _expand_step(self, state: int, symbol: int) -> ArcList:
+        tag = state & 1
+        operand = self.right if tag else self.left
+        return [(out, dst << 1 | tag) for out, dst in operand.step(state >> 1, symbol)]
+
+
+class LazyStar(LazyFST):
+    """Delayed Kleene star ``inner*`` of a relation.
+
+    State 0 is a fresh accepting initial state (the pair ``(ε, ε)``) with an
+    epsilon arc into the operand, whose state ``s`` is ``s + 1`` here; every
+    accepting operand state takes an epsilon arc back to the operand's
+    initial state.
+    """
+
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: LazyFST) -> None:
+        super().__init__(inner.alphabet)
+        self.inner = inner
+
+    def is_accepting(self, state: int) -> bool:
+        return state == 0 or self.inner.is_accepting(state - 1)
+
+    def _expand_eps(self, state: int) -> ArcList:
+        restart = (EPSILON, self.inner.initial + 1)
+        if state == 0:
+            return [restart]
+        arcs = [(out, dst + 1) for out, dst in self.inner.eps_arcs(state - 1)]
+        if self.inner.is_accepting(state - 1):
+            arcs.append(restart)
+        return arcs
+
+    def _expand_step(self, state: int, symbol: int) -> ArcList:
+        if state == 0:
+            return ()
+        return [(out, dst + 1) for out, dst in self.inner.step(state - 1, symbol)]
+
+
 class LazyCompose(LazyFST):
     """Delayed relation composition ``left ∘ right``.
 
-    Mirrors :meth:`FST.compose` (free epsilon moves on either side), but the
+    The standard unweighted product with free epsilon moves on either side
+    (duplicate epsilon paths are harmless for unweighted relations), but the
     pair space is explored on demand: composing a 30-branch shadowing chain
     never builds the product — an image query walks only the pairs the
     acceptor's paths reach, and interning keeps composite states as dense
@@ -558,7 +594,7 @@ class LazyCompose(LazyFST):
 
     __slots__ = ("left", "right", "_ids", "_pairs")
 
-    def __init__(self, left: FST | LazyFST, right: FST | LazyFST) -> None:
+    def __init__(self, left: LazyFST, right: LazyFST) -> None:
         require_same_alphabet(left.alphabet, right.alphabet)
         super().__init__(left.alphabet)
         self.left = left
@@ -581,7 +617,7 @@ class LazyCompose(LazyFST):
 
     def _expand_eps(self, state: int) -> ArcList:
         lstate, rstate = self._pairs[state]
-        arcs: list[tuple[Label, int]] = []
+        arcs: list[tuple[Symbol, int]] = []
         for mid, ldst in self.left.eps_arcs(lstate):
             if mid is EPSILON:
                 # left advances alone, producing nothing for right to read.
@@ -596,7 +632,7 @@ class LazyCompose(LazyFST):
 
     def _expand_step(self, state: int, symbol: int) -> ArcList:
         lstate, rstate = self._pairs[state]
-        arcs: list[tuple[Label, int]] = []
+        arcs: list[tuple[Symbol, int]] = []
         for mid, ldst in self.left.step(lstate, symbol):
             if mid is EPSILON:
                 arcs.append((EPSILON, self._intern(ldst, rstate)))
@@ -606,14 +642,17 @@ class LazyCompose(LazyFST):
         return arcs
 
 
-def relation_image(relation: FST | LazyFST, fsa: FSA) -> FSA:
+def relation_image(relation: LazyFST, fsa: FSA) -> FSA:
     """``P ▷ R`` for any relation implementing the arc-iteration protocol.
 
-    The same fused product walk as :meth:`FST.image` — the acceptor consumes
-    the relation's input tape while the output tape becomes the result's
-    transitions — but driven through ``eps_arcs``/``step`` so delayed
-    relation graphs are expanded exactly as far as the acceptor reaches.
-    This is where a lazy spec relation is forced into a concrete path set.
+    One fused product walk over ``(acceptor, relation)`` state pairs: the
+    acceptor consumes the relation's input tape while the output tape
+    becomes the result's transitions, so ``identity(P)``, the composition
+    and the projection are never built.  The walk is driven through
+    ``eps_arcs``/``step`` off the acceptor's (small) rows, so a delayed
+    relation is expanded exactly as far as the acceptor reaches.  This is
+    the only image walk: every spec relation is forced into a concrete path
+    set here, under the cooperative deadline.
     """
     require_same_alphabet(relation.alphabet, fsa.alphabet)
     result = FSA(fsa.alphabet)
@@ -634,7 +673,7 @@ def relation_image(relation: FST | LazyFST, fsa: FSA) -> FSA:
             queue.append(key)
         return state
 
-    def link(src_row: dict, label: Label, dst: int) -> None:
+    def link(src_row: dict, label: Symbol, dst: int) -> None:
         bucket = src_row.get(label)
         if bucket is None:
             src_row[label] = {dst}

@@ -19,7 +19,6 @@ Typical usage::
 """
 
 from repro.rela.compile import (
-    branch_rir,
     hash_expansions,
     post_relation,
     pre_relation,
@@ -139,7 +138,6 @@ __all__ = [
     "pre_relation",
     "post_relation",
     "zone",
-    "branch_rir",
     "hash_expansions",
     # parser
     "RelaParser",

@@ -197,28 +197,6 @@ def branch_relations(
     return result
 
 
-def branch_rir(
-    branch: rela_spec.RelaSpec,
-    prior_zones: list[Regex],
-    *,
-    label: str | None = None,
-) -> rir.Spec:
-    """The RIR equation for one ``else`` branch, restricted to its effective zone.
-
-    When checking ``s1 else s2 else ...``, the branch ``s_i`` only governs
-    paths outside the zones of earlier branches.  This helper applies the
-    same ``I(¬(Z1 | ... | Z_{i-1})) ∘ R`` restriction used by the Figure 4
-    translation so per-branch results can be attributed to sub-specs during
-    counterexample generation (Section 6.3).
-    """
-    shadow = _shadow_union(prior_zones)
-    pre_rel = _restrict_outside(pre_relation(branch), shadow)
-    post_rel = _restrict_outside(post_relation(branch), shadow)
-    pre_side = rir.PSImage(rir.PSPreState(), pre_rel)
-    post_side = rir.PSImage(rir.PSPostState(), post_rel)
-    return rir.SpecEqual(pre_side, post_side, label=label or branch.name)
-
-
 def hash_expansions(spec: rela_spec.RelaSpec) -> list[Regex]:
     """All ``any`` targets in the spec, in syntactic order.
 

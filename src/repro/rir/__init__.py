@@ -6,7 +6,7 @@ relations and boolean assertions over them.
 
 * :mod:`repro.rir.ast` — expression nodes;
 * :mod:`repro.rir.semantics` — set-based reference semantics (Appendix A);
-* :mod:`repro.rir.compiler` — compilation to FSAs/FSTs;
+* :mod:`repro.rir.compiler` — compilation to FSAs and delayed transducers;
 * :mod:`repro.rir.checker` — the decision procedure with witnesses.
 """
 
@@ -43,7 +43,7 @@ from repro.rir.ast import (
     word,
 )
 from repro.rir.checker import AssertionResult, SpecVerdict, check_spec
-from repro.rir.compiler import RIRContext, compile_pathset, compile_rel, compile_rel_lazy
+from repro.rir.compiler import RIRContext, compile_pathset, compile_rel_lazy
 from repro.rir.semantics import RIRModel, eval_pathset, eval_rel, holds
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "union_all",
     "RIRContext",
     "compile_pathset",
-    "compile_rel",
     "compile_rel_lazy",
     "AssertionResult",
     "SpecVerdict",

@@ -1,30 +1,31 @@
-"""Compilation of RIR expressions to finite automata and transducers.
+"""Compilation of RIR expressions to finite automata and delayed transducers.
 
 This is the first half of the decision procedure of Section 6: every path-set
 expression becomes an :class:`~repro.automata.fsa.FSA` and every relation
-becomes an :class:`~repro.automata.fst.FST`.  The snapshot symbols
-``PreState`` / ``PostState`` are supplied by the caller as already-built
-automata (typically converted from forwarding DAGs by
-:mod:`repro.verifier.state_automata`).
+becomes a delayed-operation DAG of :class:`~repro.automata.lazy.LazyFST`
+nodes.  The snapshot symbols ``PreState`` / ``PostState`` are supplied by the
+caller as already-built automata (typically converted from forwarding DAGs
+by :mod:`repro.verifier.state_automata`).
 
-Relations can be compiled two ways:
+:func:`compile_rel_lazy` lowers every relation node:
 
-* :func:`compile_rel` — fully eager; every union, composition and identity
-  is materialized as a concrete FST.  Kept as the reference oracle; its
-  one verifier-level caller is the test reference
-  :func:`repro.testing.reference.naive_verify`.
-* :func:`compile_rel_lazy` — the spec-compilation path.  Unions and
-  compositions become delayed nodes (:class:`~repro.automata.lazy.LazyUnion`,
-  :class:`~repro.automata.lazy.LazyCompose`), identities and cross products
-  become leaves determinized along the queried frontier
-  (:class:`~repro.automata.lazy.LazyIdentity`,
-  :class:`~repro.automata.lazy.LazyCross`), and the branch-shadowing
-  pattern ``I(¬Z)`` compiles to a
+* unions, concatenations, stars and compositions become the delayed
+  combinators :class:`~repro.automata.lazy.LazyUnion`,
+  :class:`~repro.automata.lazy.LazyConcat`,
+  :class:`~repro.automata.lazy.LazyStar` and
+  :class:`~repro.automata.lazy.LazyCompose`;
+* identities and cross products become leaves determinized along the
+  queried frontier (:class:`~repro.automata.lazy.LazyIdentity`,
+  :class:`~repro.automata.lazy.LazyCross`), and the constants ``0`` and
+  ``1`` are identities over the empty and the epsilon language;
+* the branch-shadowing pattern ``I(¬Z)`` compiles to a
   :class:`~repro.automata.lazy.LazyComplementZone` that never determinizes,
-  completes or complements the zone automaton up front.  Only the remaining
-  small atomic leaves (relation concatenations, stars, constants) are
-  materialized eagerly; the resulting delayed DAG is forced at the decision
-  boundary by the image operation.
+  completes or complements the zone automaton up front.
+
+Nothing is materialized at compile time: the DAG is forced at the decision
+boundary by :func:`~repro.automata.lazy.relation_image`.  The independent
+oracle for this compiler is the set semantics of
+:mod:`repro.rir.semantics` (paper Appendix A).
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ from dataclasses import dataclass, field
 
 from repro.automata.alphabet import Alphabet
 from repro.automata.fsa import FSA
-from repro.automata.fst import FST
 from repro.automata.lazy import (
     LazyComplementZone,
     LazyCompose,
+    LazyConcat,
     LazyCross,
     LazyFST,
     LazyIdentity,
+    LazyStar,
     LazyUnion,
+    relation_image,
 )
 from repro.automata.regex import Complement as RegexComplement
 from repro.errors import CompilationError
@@ -68,7 +71,7 @@ class RIRContext:
     alphabet: Alphabet
     pre: FSA
     post: FSA
-    cache: dict[ast.PathSet | ast.Rel, FSA | FST | LazyFST] = field(default_factory=dict)
+    cache: dict[ast.PathSet | ast.Rel, FSA | LazyFST] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.pre.alphabet is not self.alphabet or self.post.alphabet is not self.alphabet:
@@ -118,59 +121,19 @@ def _compile_pathset(node: ast.PathSet, ctx: RIRContext) -> FSA:
         # relation products (mirrors regex.Complement.to_fsa).
         return compile_pathset(node.inner, ctx).complement().minimize()
     if isinstance(node, ast.PSImage):
-        relation = compile_rel(node.rel, ctx)
-        return relation.image(compile_pathset(node.pathset, ctx))
+        relation = compile_rel_lazy(node.rel, ctx)
+        return relation_image(relation, compile_pathset(node.pathset, ctx))
     raise CompilationError(f"unknown PathSet node: {node!r}")
 
 
-def compile_rel(node: ast.Rel, ctx: RIRContext) -> FST:
-    """Compile a relation expression to an FST."""
-    cached = ctx.cache.get(node)
-    if isinstance(cached, FST):
-        return cached
-    result = _compile_rel(node, ctx)
-    try:
-        ctx.cache[node] = result
-    except TypeError:
-        pass
-    return result
-
-
-def _compile_rel(node: ast.Rel, ctx: RIRContext) -> FST:
-    if isinstance(node, ast.RCross):
-        return FST.cross(compile_pathset(node.left, ctx), compile_pathset(node.right, ctx))
-    if isinstance(node, ast.RIdentity):
-        return FST.identity(compile_pathset(node.pathset, ctx))
-    if isinstance(node, ast.REmpty):
-        return FST.empty_relation(ctx.alphabet)
-    if isinstance(node, ast.REpsilon):
-        return FST.epsilon_relation(ctx.alphabet)
-    if isinstance(node, ast.RUnion):
-        return compile_rel(node.left, ctx).union(compile_rel(node.right, ctx))
-    if isinstance(node, ast.RConcat):
-        return compile_rel(node.left, ctx).concat(compile_rel(node.right, ctx))
-    if isinstance(node, ast.RStar):
-        return compile_rel(node.inner, ctx).star()
-    if isinstance(node, ast.RCompose):
-        # Trim between composition stages so chained RCompose trees (branch
-        # shadowing composes one relation per preceding branch) do not
-        # accumulate dead product states multiplicatively.
-        return compile_rel(node.left, ctx).compose(compile_rel(node.right, ctx)).trim()
-    raise CompilationError(f"unknown Rel node: {node!r}")
-
-
-# ----------------------------------------------------------------------
-# Delayed compilation (the spec-compilation path)
-# ----------------------------------------------------------------------
-def compile_rel_lazy(node: ast.Rel, ctx: RIRContext) -> FST | LazyFST:
+def compile_rel_lazy(node: ast.Rel, ctx: RIRContext) -> LazyFST:
     """Compile a relation expression into a delayed-operation DAG.
 
-    Structural memoisation is shared with the eager compiler: a node cached
-    as a concrete FST is reused as a lazy leaf, and vice versa a lazily
-    compiled node is never recompiled.
+    Structurally equal sub-relations compile once per context and are
+    shared, expansion memos included.
     """
     cached = ctx.cache.get(node)
-    if isinstance(cached, (FST, LazyFST)):
+    if isinstance(cached, LazyFST):
         return cached
     result = _compile_rel_lazy(node, ctx)
     try:
@@ -193,11 +156,15 @@ def _complement_operand(node: ast.PathSet) -> ast.PathSet | None:
     return None
 
 
-def _compile_rel_lazy(node: ast.Rel, ctx: RIRContext) -> FST | LazyFST:
+def _compile_rel_lazy(node: ast.Rel, ctx: RIRContext) -> LazyFST:
     if isinstance(node, ast.RUnion):
         return LazyUnion(compile_rel_lazy(node.left, ctx), compile_rel_lazy(node.right, ctx))
     if isinstance(node, ast.RCompose):
         return LazyCompose(compile_rel_lazy(node.left, ctx), compile_rel_lazy(node.right, ctx))
+    if isinstance(node, ast.RConcat):
+        return LazyConcat(compile_rel_lazy(node.left, ctx), compile_rel_lazy(node.right, ctx))
+    if isinstance(node, ast.RStar):
+        return LazyStar(compile_rel_lazy(node.inner, ctx))
     if isinstance(node, ast.RIdentity):
         inner = _complement_operand(node.pathset)
         if inner is not None:
@@ -207,7 +174,8 @@ def _compile_rel_lazy(node: ast.Rel, ctx: RIRContext) -> FST | LazyFST:
         return LazyIdentity(compile_pathset(node.pathset, ctx))
     if isinstance(node, ast.RCross):
         return LazyCross(compile_pathset(node.left, ctx), compile_pathset(node.right, ctx))
-    # The remaining atomic leaves (concatenations, stars, constants) are
-    # small; materialize them eagerly and let the lazy combinators above
-    # consume them through the shared arc-iteration protocol.
-    return compile_rel(node, ctx)
+    if isinstance(node, ast.REmpty):
+        return LazyIdentity(FSA.empty_language(ctx.alphabet))
+    if isinstance(node, ast.REpsilon):
+        return LazyIdentity(FSA.epsilon_language(ctx.alphabet))
+    raise CompilationError(f"unknown Rel node: {node!r}")

@@ -5,9 +5,11 @@ finite sets of concrete paths.  They exist for two reasons:
 
 1. they are an executable transcription of the paper's semantics, making the
    formal definitions testable; and
-2. they are used as a differential-testing oracle for the automata-based
-   compiler in :mod:`repro.rir.compiler`: on bounded models, the compiled
-   automata must accept exactly the words the reference semantics computes.
+2. they are the differential-testing oracle for the automata-based compiler
+   in :mod:`repro.rir.compiler`, its delayed transducer nodes and the image
+   walk: on bounded models, compiled path sets must accept exactly the words
+   and compiled relations relate exactly the pairs the reference semantics
+   computes.  The module shares no automata code with production.
 
 Unbounded constructs (Kleene star, complement) are evaluated relative to an
 explicit length bound; evaluating them without a bound raises
@@ -174,9 +176,10 @@ def eval_rel(node: ast.Rel, model: RIRModel) -> set[PathPair]:
     if isinstance(node, ast.RStar):
         return _rel_star(eval_rel(node.inner, model), model.max_length)
     if isinstance(node, ast.RCompose):
-        left = eval_rel(node.left, model)
-        right = eval_rel(node.right, model)
-        return {(p, r) for (p, q1) in left for (q2, r) in right if q1 == q2}
+        by_input: dict[Path, list[Path]] = {}
+        for q, r in eval_rel(node.right, model):
+            by_input.setdefault(q, []).append(r)
+        return {(p, r) for (p, q) in eval_rel(node.left, model) for r in by_input.get(q, ())}
     raise SemanticsError(f"unknown Rel node: {node!r}")
 
 

@@ -12,15 +12,14 @@ way, so a test can assert that the two agree:
 * every FEC is checked on its own, in snapshot order, with no graph store,
   grouping, cache, worker pool or identical-graph shortcut — both state
   automata are always built;
-* with ``eager=True`` (the default) specs are compiled as the seed did: the
-  overall relations through the nested Figure 4 translation
+* the overall relations are the nested Figure 4 translation
   (:func:`~repro.rela.compile.pre_relation` /
-  :func:`~repro.rela.compile.post_relation`) and every ``else`` branch's
-  attribution relations through :func:`~repro.rir.compile_rel`, all of them
-  materialized as concrete transducers.  Eager compilation cliffs on deep
-  ``else`` chains (30+ atomic branches), so ``eager=False`` swaps in the
-  production :func:`~repro.verifier.engine.compile_spec` and keeps only the
-  per-FEC loop naive.
+  :func:`~repro.rela.compile.post_relation`), ``R1 | (I(¬Z1) ∘ (R2 | ...))``,
+  where production compiles the flat union of shadowed branches
+  :func:`~repro.rela.compile.branch_relations`; the two are equal as
+  relations, so every verdict and witness must agree.  Both go through
+  :func:`~repro.rir.compile_rel_lazy`, whose own oracle is the set semantics
+  of :mod:`repro.rir.semantics`.
 
 The reference ignores the resilience knobs (timeouts, retries, fault plans,
 workers): it is the clean run.  Its ``unique_checks`` is the number of FECs
@@ -36,55 +35,29 @@ import time
 from repro.automata.alphabet import Alphabet
 from repro.automata.equivalence import compare
 from repro.automata.fsa import FSA
-from repro.rela.compile import (
-    branch_relations,
-    hash_expansions,
-    post_relation,
-    pre_relation,
-    zone,
-)
+from repro.rela.compile import post_relation, pre_relation, zone
 from repro.rela.locations import LocationDB
 from repro.rela.pspec import SpecPolicy
 from repro.rela.spec import RelaSpec, flatten_else
-from repro.rir import RIRContext, compile_rel
+from repro.rir import RIRContext, compile_rel_lazy
 from repro.snapshots.forwarding_graph import ForwardingGraph
 from repro.snapshots.snapshot import Snapshot
 from repro.verifier.counterexample import BranchViolation, Counterexample, rewrite_hash
-from repro.verifier.engine import (
-    CompiledBranch,
-    CompiledSpec,
-    VerificationOptions,
-    compile_spec,
-)
+from repro.verifier.engine import CompiledSpec, VerificationOptions, compile_spec
 from repro.verifier.report import VerificationReport
 from repro.verifier.state_automata import StateAutomatonBuilder, build_alphabet
 
 
-def compile_spec_eager(spec: RelaSpec, alphabet: Alphabet) -> CompiledSpec:
-    """The seed's fully eager spec compilation over ``alphabet``.
-
-    The overall relations and every branch's attribution relations are
-    compiled with :func:`~repro.rir.compile_rel` up front.
-    """
+def compile_spec_nested(spec: RelaSpec, alphabet: Alphabet) -> CompiledSpec:
+    """:func:`~repro.verifier.engine.compile_spec`, but with the overall
+    relations compiled from the nested Figure 4 lowering, in a context of
+    their own.  Branch attribution is production's."""
+    compiled = compile_spec(spec, alphabet)
     empty = FSA.empty_language(alphabet)
     ctx = RIRContext(alphabet, empty, empty)
-    pre_fst = compile_rel(pre_relation(spec), ctx)
-    post_fst = compile_rel(post_relation(spec), ctx)
-    branches = []
-    for index, (branch, branch_pre, branch_post) in enumerate(branch_relations(spec)):
-        expansions = hash_expansions(branch)
-        branches.append(
-            CompiledBranch(
-                name=branch.name or f"branch-{index + 1}",
-                pre_rel=branch_pre,
-                post_rel=branch_post,
-                hash_expansion=str(expansions[0]) if expansions else None,
-                ctx=ctx,
-                _pre_fst=compile_rel(branch_pre, ctx),
-                _post_fst=compile_rel(branch_post, ctx),
-            )
-        )
-    return CompiledSpec(spec=spec, pre_fst=pre_fst, post_fst=post_fst, branches=branches)
+    compiled.pre_fst = compile_rel_lazy(pre_relation(spec), ctx)
+    compiled.post_fst = compile_rel_lazy(post_relation(spec), ctx)
+    return compiled
 
 
 def _check(
@@ -147,7 +120,6 @@ def naive_verify(
     *,
     db: LocationDB | None = None,
     options: VerificationOptions | None = None,
-    eager: bool = True,
 ) -> VerificationReport:
     """Verify ``pre`` → ``post`` against ``spec`` one FEC at a time.
 
@@ -167,8 +139,7 @@ def naive_verify(
         pre, post, db=db, granularity=options.granularity, extra_symbols=symbols
     )
     builder = StateAutomatonBuilder(alphabet=alphabet, granularity=options.granularity, db=db)
-    compiler = compile_spec_eager if eager else compile_spec
-    compiled = [compiler(each, alphabet) for each in specs]
+    compiled = [compile_spec_nested(each, alphabet) for each in specs]
 
     report = VerificationReport(granularity=options.granularity, workers=max(1, options.workers))
     for fec_id in dict.fromkeys(pre.fec_ids() + post.fec_ids()):

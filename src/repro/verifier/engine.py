@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING
 from repro.automata.alphabet import Alphabet
 from repro.automata.equivalence import compare
 from repro.automata.fsa import FSA
-from repro.automata.fst import FST
 from repro.automata.lazy import LazyFST, LazyUnion
 from repro.errors import VerificationError
 from repro.rela.compile import branch_relations, hash_expansions, zone
@@ -140,17 +139,17 @@ class CompiledBranch:
     post_rel: rir.Rel
     hash_expansion: str | None
     ctx: RIRContext
-    _pre_fst: FST | LazyFST | None = None
-    _post_fst: FST | LazyFST | None = None
+    _pre_fst: LazyFST | None = None
+    _post_fst: LazyFST | None = None
 
     @property
-    def pre_fst(self) -> FST | LazyFST:
+    def pre_fst(self) -> LazyFST:
         if self._pre_fst is None:
             self._pre_fst = compile_rel_lazy(self.pre_rel, self.ctx)
         return self._pre_fst
 
     @property
-    def post_fst(self) -> FST | LazyFST:
+    def post_fst(self) -> LazyFST:
         if self._post_fst is None:
             self._post_fst = compile_rel_lazy(self.post_rel, self.ctx)
         return self._post_fst
@@ -161,13 +160,13 @@ class CompiledSpec:
     """A Rela spec compiled to relation transducers over a fixed alphabet."""
 
     spec: RelaSpec
-    pre_fst: FST | LazyFST
-    post_fst: FST | LazyFST
+    pre_fst: LazyFST
+    post_fst: LazyFST
     branches: list[CompiledBranch] = field(default_factory=list)
     preserve_only: bool = False
 
 
-def _union_rels(rels: list[FST | LazyFST]) -> FST | LazyFST:
+def _union_rels(rels: list[LazyFST]) -> LazyFST:
     """The delayed union of compiled relations (a single relation unwrapped)."""
     if len(rels) == 1:
         return rels[0]
@@ -190,9 +189,9 @@ def compile_spec(spec: RelaSpec, alphabet: Alphabet) -> CompiledSpec:
     The overall pre/post relations become delayed-operation DAGs — branch
     shadowing never materializes the product — and the per-branch
     attribution relations are recorded symbolically, to be compiled only on
-    the first violation of that branch.  The fully eager seed compilation
-    survives only as the test oracle
-    (:func:`repro.testing.reference.naive_verify`).
+    the first violation of that branch.  The test oracle
+    (:func:`repro.testing.reference.naive_verify`) compiles the nested
+    Figure 4 translation instead of this flat union.
     """
     empty = FSA.empty_language(alphabet)
     ctx = RIRContext(alphabet, empty, empty)

@@ -22,6 +22,15 @@ from repro.automata import FSA, Alphabet
 from repro.automata.guard import active_deadline, arm_deadline, check_deadline, disarm_deadline
 from repro.automata.lazy import is_equivalent
 from repro.errors import CheckTimeoutError
+from repro.rir import (
+    PSStar,
+    PSSymbol,
+    PSUnion,
+    RConcat,
+    RIdentity,
+    RIRContext,
+    compile_rel_lazy,
+)
 from repro.verifier.runtime import _deadline
 
 ALPHA = Alphabet(["a", "b"])
@@ -88,3 +97,19 @@ def test_guard_primitives():
     assert active_deadline() is None
     with pytest.raises(CheckTimeoutError):
         check_deadline(time.monotonic() - 1.0)
+
+
+def test_every_image_walk_polls_the_deadline():
+    """A compiled relation concatenation is imaged by the one image walk,
+    which polls the cooperative deadline like every other product walk."""
+    empty = FSA.empty_language(ALPHA)
+    ctx = RIRContext(ALPHA, empty, empty)
+    sigma_star = RIdentity(PSStar(PSUnion(PSSymbol("a"), PSSymbol("b"))))
+    relation = compile_rel_lazy(RConcat(sigma_star, sigma_star), ctx)
+    path = FSA.from_word(ALPHA, ["a"] * 300)  # well over 256 walk steps
+    arm_deadline(-1.0)  # already expired
+    try:
+        with pytest.raises(CheckTimeoutError):
+            relation.image(path)
+    finally:
+        disarm_deadline()

@@ -1,50 +1,79 @@
-"""Tests for the delayed-operation FST layer (repro.automata.lazy)."""
+"""Tests for the delayed-operation transducer layer (repro.automata.lazy).
+
+Relations are checked against the paper's Appendix A set semantics
+(:mod:`repro.rir.semantics`), which evaluates the same construction eagerly
+over bounded path sets and shares no automata code with the nodes.
+"""
 
 from __future__ import annotations
 
 import pickle
 
 from repro.automata import (
-    Alphabet,
     FSA,
-    FST,
+    Alphabet,
     LazyComplementZone,
     LazyCompose,
+    LazyConcat,
     LazyCross,
     LazyIdentity,
+    LazyStar,
     LazyUnion,
     check_equal,
     parse_regex,
-    relation_image,
 )
+from repro.rir import (
+    PathSet,
+    PSComplement,
+    RCompose,
+    RConcat,
+    RCross,
+    RIdentity,
+    RIRModel,
+    RStar,
+    RUnion,
+    Rel,
+    eval_rel,
+    union_all,
+    word,
+)
+from repro.testing.pairs import relation_pairs
+
+SIGMA = ("a", "b", "c")
+#: Word-length bound of the set semantics and of the pair enumeration.
+BOUND = 3
 
 
 def alphabet() -> Alphabet:
-    return Alphabet(["a", "b", "c"])
+    # No drop/# specials: complement is relative to the alphabet, and the
+    # set semantics' universe is built over SIGMA.
+    return Alphabet(SIGMA, with_specials=False)
 
 
 def words(ab: Alphabet, *items: list[str]) -> FSA:
     return FSA.from_words(ab, list(items))
 
 
-def assert_same_relation(lazy, eager: FST) -> None:
-    """Language equality of two relations, via forcing and via images."""
-    forced = lazy.to_fst()
-    # Compare through both projections and through images over Sigma*.
-    sigma_star = FSA.any_symbol(eager.alphabet).star()
-    assert check_equal(forced.project_input(), eager.project_input())
-    assert check_equal(forced.project_output(), eager.project_output())
-    assert check_equal(lazy.image(sigma_star), eager.image(sigma_star))
+def lit(*items: list[str]) -> PathSet:
+    """The RIR path set of ``items`` (the set-semantics twin of :func:`words`)."""
+    return union_all([word(item) for item in items])
+
+
+def assert_same_relation(lazy, expected: Rel) -> None:
+    """``lazy`` relates exactly the bounded pairs Appendix A gives ``expected``,
+    and its image of ``Sigma*`` is their range."""
+    semantic = eval_rel(expected, RIRModel(sigma=SIGMA, max_length=BOUND))
+    assert relation_pairs(lazy, max_length=BOUND) == semantic
+    sigma_star = FSA.any_symbol(lazy.alphabet).star()
+    assert lazy.image(sigma_star).language(max_length=BOUND) == {q for _, q in semantic}
 
 
 def test_lazy_identity_matches_eager_identity():
     ab = alphabet()
-    language = words(ab, ["a"], ["a", "b"], ["c", "c"])
-    lazy = LazyIdentity(language)
-    eager = FST.identity(language)
-    assert_same_relation(lazy, eager)
+    lazy = LazyIdentity(words(ab, ["a"], ["a", "b"], ["c", "c"]))
+    assert_same_relation(lazy, RIdentity(lit(["a"], ["a", "b"], ["c", "c"])))
     probe = words(ab, ["a"], ["b"], ["a", "b"])
-    assert check_equal(lazy.image(probe), eager.image(probe))
+    assert lazy.image(probe).language() == {("a",), ("a", "b")}
 
 
 def test_lazy_identity_image_pairs_each_acceptor_state_with_one_subset():
@@ -62,14 +91,12 @@ def test_lazy_identity_image_pairs_each_acceptor_state_with_one_subset():
 
 def test_lazy_complement_zone_is_identity_of_complement():
     ab = alphabet()
-    zone = words(ab, ["a"], ["a", "b"])
-    lazy = LazyComplementZone(zone)
-    eager = FST.identity(zone.complement())
-    assert_same_relation(lazy, eager)
+    lazy = LazyComplementZone(words(ab, ["a"], ["a", "b"]))
+    assert_same_relation(lazy, RIdentity(PSComplement(lit(["a"], ["a", "b"]))))
     # The implicit sink accepts: words far outside the zone map to themselves.
-    probe = words(ab, ["c", "c", "c"], ["a"], ["b"])
+    probe = words(ab, ["c", "c", "c", "c"], ["a"], ["b"])
     image = lazy.image(probe)
-    assert image.accepts(["c", "c", "c"])
+    assert image.accepts(["c", "c", "c", "c"])
     assert image.accepts(["b"])
     assert not image.accepts(["a"])
 
@@ -89,39 +116,62 @@ def test_lazy_complement_zone_never_materializes_sigma_rows():
 
 def test_lazy_union_flattens_and_matches_eager():
     ab = alphabet()
-    parts_lazy = [FST.identity(words(ab, ["a"])), FST.cross(words(ab, ["b"]), words(ab, ["c"]))]
-    third = FST.identity(words(ab, ["c", "c"]))
-    nested = LazyUnion(LazyUnion(*parts_lazy), third)
+    parts = [LazyIdentity(words(ab, ["a"])), LazyCross(words(ab, ["b"]), words(ab, ["c"]))]
+    nested = LazyUnion(LazyUnion(*parts), LazyIdentity(words(ab, ["c", "c"])))
     assert len(nested.operands) == 3  # flattened, not a chain
-    eager = parts_lazy[0].union(parts_lazy[1]).union(third)
-    assert_same_relation(nested, eager)
+    expected = RUnion(
+        RUnion(RIdentity(lit(["a"])), RCross(lit(["b"]), lit(["c"]))),
+        RIdentity(lit(["c", "c"])),
+    )
+    assert_same_relation(nested, expected)
 
 
 def test_lazy_compose_matches_eager_compose():
     ab = alphabet()
-    first = FST.cross(words(ab, ["a"], ["a", "a"]), words(ab, ["b"]))
-    second = FST.cross(words(ab, ["b"]), words(ab, ["c", "c"]))
-    lazy = LazyCompose(first, second)
-    eager = first.compose(second)
-    assert_same_relation(lazy, eager)
+    lazy = LazyCompose(
+        LazyCross(words(ab, ["a"], ["a", "a"]), words(ab, ["b"])),
+        LazyCross(words(ab, ["b"]), words(ab, ["c", "c"])),
+    )
+    expected = RCompose(
+        RCross(lit(["a"], ["a", "a"]), lit(["b"])), RCross(lit(["b"]), lit(["c", "c"]))
+    )
+    assert_same_relation(lazy, expected)
+
+
+def test_lazy_concat_and_star_match_eager():
+    ab = alphabet()
+    a_to_b = LazyCross(words(ab, ["a"]), words(ab, ["b"]))
+    c_ident = LazyIdentity(words(ab, ["c"], []))
+    rel_a_to_b = RCross(lit(["a"]), lit(["b"]))
+    rel_c_ident = RIdentity(lit(["c"], []))
+    assert_same_relation(LazyConcat(a_to_b, c_ident), RConcat(rel_a_to_b, rel_c_ident))
+    assert_same_relation(LazyStar(a_to_b), RStar(rel_a_to_b))
+    assert_same_relation(
+        LazyStar(LazyConcat(c_ident, a_to_b)), RStar(RConcat(rel_c_ident, rel_a_to_b))
+    )
 
 
 def test_nested_delayed_graph_matches_eager_pipeline():
     # The branch-shadowing shape: I(not Z1) o (R1 | I(not Z2) o R2).
     ab = alphabet()
-    zone1 = words(ab, ["a"])
-    zone2 = words(ab, ["b"])
-    rel1 = FST.identity(words(ab, ["b"], ["c"]))
-    rel2 = FST.cross(words(ab, ["c"]), words(ab, ["a"]))
     lazy = LazyCompose(
-        LazyComplementZone(zone1),
-        LazyUnion(rel1, LazyCompose(LazyComplementZone(zone2), rel2)),
+        LazyComplementZone(words(ab, ["a"])),
+        LazyUnion(
+            LazyIdentity(words(ab, ["b"], ["c"])),
+            LazyCompose(
+                LazyComplementZone(words(ab, ["b"])),
+                LazyCross(words(ab, ["c"]), words(ab, ["a"])),
+            ),
+        ),
     )
-    eager = (
-        FST.identity(zone1.complement())
-        .compose(rel1.union(FST.identity(zone2.complement()).compose(rel2)))
+    expected = RCompose(
+        RIdentity(PSComplement(lit(["a"]))),
+        RUnion(
+            RIdentity(lit(["b"], ["c"])),
+            RCompose(RIdentity(PSComplement(lit(["b"]))), RCross(lit(["c"]), lit(["a"]))),
+        ),
     )
-    assert_same_relation(lazy, eager)
+    assert_same_relation(lazy, expected)
 
 
 def test_flat_shadowed_union_equals_nested_else_chain():
@@ -130,9 +180,9 @@ def test_flat_shadowed_union_equals_nested_else_chain():
     ab = alphabet()
     zone1 = words(ab, ["a"])
     zone2 = words(ab, ["b"])
-    r1 = FST.identity(words(ab, ["a"], ["c"]))
-    r2 = FST.cross(words(ab, ["b"]), words(ab, ["b", "b"]))
-    r3 = FST.identity(words(ab, ["c"], ["a", "b"]))
+    r1 = LazyIdentity(words(ab, ["a"], ["c"]))
+    r2 = LazyCross(words(ab, ["b"]), words(ab, ["b", "b"]))
+    r3 = LazyIdentity(words(ab, ["c"], ["a", "b"]))
     nested = LazyUnion(
         r1,
         LazyCompose(
@@ -151,27 +201,18 @@ def test_flat_shadowed_union_equals_nested_else_chain():
     assert check_equal(nested.image(probe), flat.image(probe))
 
 
-def test_concrete_fst_implements_arc_iteration_protocol():
-    ab = alphabet()
-    fst = FST.cross(words(ab, ["a"]), words(ab, ["b"]))
-    probe = words(ab, ["a"], ["c"])
-    # relation_image over a concrete FST agrees with its fused image.
-    assert check_equal(relation_image(fst, probe), fst.image(probe))
-    assert fst.is_accepting(next(iter(fst.accepting)))
-    assert not fst.is_accepting(fst.initial)
-
-
 def test_lazy_nodes_pickle_roundtrip():
     # Compiled specs ship to worker processes; delayed nodes must pickle,
     # including half-populated expansion caches.
     ab = alphabet()
     zone = words(ab, ["a"])
     lazy = LazyUnion(
-        FST.identity(words(ab, ["b"])),
-        LazyCompose(LazyComplementZone(zone), FST.identity(words(ab, ["c"]))),
+        LazyIdentity(words(ab, ["b"])),
+        LazyCompose(LazyComplementZone(zone), LazyIdentity(words(ab, ["c"]))),
         LazyCross(words(ab, ["c"]), words(ab, ["a", "a"])),
+        LazyStar(LazyConcat(LazyIdentity(words(ab, ["a"])), LazyIdentity(words(ab, ["b"])))),
     )
-    probe = words(ab, ["b"], ["c"])
+    probe = words(ab, ["b"], ["c"], ["a", "b", "a", "b"])
     before = lazy.image(probe)  # populate caches
     # Alphabets are compared by identity, so ship the relation and the
     # acceptor in one payload — exactly how the engine ships compiled specs

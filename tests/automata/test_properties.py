@@ -4,16 +4,19 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import Alphabet, FSA, check_equal, check_subset, compare
+from repro.automata import FSA, Alphabet, check_equal, check_subset, compare
 from repro.automata.fsa import EPSILON
-from repro.automata.fst import FST
 from repro.automata.lazy import (
     LazyComplementZone,
     LazyCompose,
+    LazyConcat,
     LazyCross,
+    LazyFST,
     LazyIdentity,
+    LazyStar,
     LazyUnion,
     difference_dfa,
+    relation_image,
     shortest_witness,
 )
 from repro.automata.regex import (
@@ -26,13 +29,37 @@ from repro.automata.regex import (
     Sym,
     Union,
 )
+from repro.rir import (
+    PathSet,
+    PSComplement,
+    PSImage,
+    PSRegex,
+    RCompose,
+    RConcat,
+    RCross,
+    REmpty,
+    REpsilon,
+    RIdentity,
+    RIRContext,
+    RIRModel,
+    RStar,
+    RUnion,
+    Rel,
+    compile_pathset,
+    compile_rel_lazy,
+    eval_pathset,
+    eval_rel,
+    union_all,
+    word,
+)
+from repro.testing.pairs import relation_pairs
 
 SYMBOLS = ["a", "b", "c"]
 
 
-def regex_strategy(max_depth: int = 3) -> st.SearchStrategy[Regex]:
+def regex_strategy(symbols=SYMBOLS) -> st.SearchStrategy[Regex]:
     leaves = st.one_of(
-        st.sampled_from(SYMBOLS).map(Sym),
+        st.sampled_from(symbols).map(Sym),
         st.just(Epsilon()),
         st.just(Empty()),
         st.just(AnySym()),
@@ -206,157 +233,6 @@ def test_lazy_witnesses_lie_in_the_symmetric_difference(left, right):
     )
 
 
-# A randomized FST description mirroring NfaDescription: state count, arc
-# quadruples (src, input label index or epsilon, output label index or
-# epsilon, dst) and accepting states.
-FstDescription = tuple[int, list[tuple[int, int | None, int | None, int]], frozenset[int]]
-
-
-@st.composite
-def fst_strategy(draw) -> FstDescription:
-    num_states = draw(st.integers(min_value=1, max_value=4))
-    labels = st.one_of(st.none(), st.integers(min_value=0, max_value=len(SYMBOLS) - 1))
-    states = st.integers(min_value=0, max_value=num_states - 1)
-    arcs = draw(st.lists(st.tuples(states, labels, labels, states), max_size=10))
-    accepting = draw(st.frozensets(states, max_size=num_states))
-    return num_states, arcs, accepting
-
-
-def build_fst(description: FstDescription, alphabet: Alphabet) -> FST:
-    num_states, arcs, accepting = description
-    fst = FST(alphabet)
-    while fst.num_states < num_states:
-        fst.add_state()
-    for src, in_label, out_label, dst in arcs:
-        fst.add_arc(
-            src,
-            EPSILON if in_label is None else alphabet.id_of(SYMBOLS[in_label]),
-            EPSILON if out_label is None else alphabet.id_of(SYMBOLS[out_label]),
-            dst,
-        )
-    for state in accepting:
-        fst.mark_accepting(state)
-    return fst
-
-
-@settings(max_examples=60, deadline=None)
-@given(rel=fst_strategy(), acceptor=nfa_strategy())
-def test_fused_image_matches_compose_oracle(rel, acceptor):
-    ab = fresh_alphabet()
-    fst, fsa = build_fst(rel, ab), build_nfa(acceptor, ab)
-    fused = fst.image(fsa)
-    eager = fst.image_via_compose(fsa)
-    assert check_equal(fused, eager)
-    assert fused.language(max_count=50, max_length=8) == eager.language(max_count=50, max_length=8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rel=fst_strategy(), acceptor=nfa_strategy())
-def test_preimage_and_trim_preserve_the_relation(rel, acceptor):
-    ab = fresh_alphabet()
-    fst, fsa = build_fst(rel, ab), build_nfa(acceptor, ab)
-    preimage = fst.preimage(fsa)
-    oracle = fst.compose(FST.identity(fsa)).project_input()
-    assert check_equal(preimage, oracle)
-    # Short bound: pair enumeration on an untrimmed FST walks every arc path
-    # up to max_length, which grows exponentially for dense random machines.
-    assert fst.trim().relation(max_count=200, max_length=4) == fst.relation(
-        max_count=200, max_length=4
-    )
-
-
-# ----------------------------------------------------------------------
-# Delayed FST operations vs. the eager RCompose/RUnion-style oracle
-# ----------------------------------------------------------------------
-def assert_relations_equal(lazy, eager: FST, acceptor: FSA) -> None:
-    """Language equality of two relations, checked through their behaviour.
-
-    Both the image of a random acceptor (the engine's decision boundary) and
-    the two projections of the forced delayed graph must agree with the
-    eagerly built transducer.
-    """
-    assert check_equal(lazy.image(acceptor), eager.image(acceptor))
-    forced = lazy.to_fst()
-    assert check_equal(forced.project_input(), eager.project_input())
-    assert check_equal(forced.project_output(), eager.project_output())
-
-
-@settings(max_examples=60, deadline=None)
-@given(left=fst_strategy(), right=fst_strategy(), acceptor=nfa_strategy())
-def test_lazy_union_matches_eager_union(left, right, acceptor):
-    ab = fresh_alphabet()
-    left_fst, right_fst = build_fst(left, ab), build_fst(right, ab)
-    lazy = LazyUnion(left_fst, right_fst)
-    eager = left_fst.union(right_fst)
-    assert_relations_equal(lazy, eager, build_nfa(acceptor, ab))
-
-
-@settings(max_examples=60, deadline=None)
-@given(left=fst_strategy(), right=fst_strategy(), acceptor=nfa_strategy())
-def test_lazy_compose_matches_eager_compose(left, right, acceptor):
-    ab = fresh_alphabet()
-    left_fst, right_fst = build_fst(left, ab), build_fst(right, ab)
-    lazy = LazyCompose(left_fst, right_fst)
-    eager = left_fst.compose(right_fst)
-    assert_relations_equal(lazy, eager, build_nfa(acceptor, ab))
-
-
-@settings(max_examples=60, deadline=None)
-@given(language=nfa_strategy(), acceptor=nfa_strategy())
-def test_lazy_identity_and_complement_zone_match_eager(language, acceptor):
-    ab = fresh_alphabet()
-    language_fsa = build_nfa(language, ab)
-    probe = build_nfa(acceptor, ab)
-    assert_relations_equal(LazyIdentity(language_fsa), FST.identity(language_fsa), probe)
-    assert_relations_equal(
-        LazyComplementZone(language_fsa),
-        FST.identity(language_fsa.complement()),
-        probe,
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(reader=nfa_strategy(), writer=nfa_strategy(), acceptor=nfa_strategy())
-def test_lazy_cross_matches_eager_cross(reader, writer, acceptor):
-    ab = fresh_alphabet()
-    reader_fsa, writer_fsa = build_nfa(reader, ab), build_nfa(writer, ab)
-    probe = build_nfa(acceptor, ab)
-    assert_relations_equal(
-        LazyCross(reader_fsa, writer_fsa), FST.cross(reader_fsa, writer_fsa), probe
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    zone=nfa_strategy(),
-    primary=fst_strategy(),
-    fallback=fst_strategy(),
-    acceptor=nfa_strategy(),
-    primary_cross=st.tuples(nfa_strategy(), nfa_strategy()),
-)
-def test_lazy_branch_shadowing_matches_eager_pipeline(
-    zone, primary, fallback, acceptor, primary_cross
-):
-    """The spec-compilation shape R1 | (I(¬Z) ∘ R2), delayed vs. eager."""
-    ab = fresh_alphabet()
-    zone_fsa = build_nfa(zone, ab)
-    primary_fst, fallback_fst = build_fst(primary, ab), build_fst(fallback, ab)
-    lazy = LazyUnion(primary_fst, LazyCompose(LazyComplementZone(zone_fsa), fallback_fst))
-    eager = primary_fst.union(
-        FST.identity(zone_fsa.complement()).compose(fallback_fst)
-    )
-    assert_relations_equal(lazy, eager, build_nfa(acceptor, ab))
-    # The same shape with a delayed cross product as the primary branch.
-    reader, writer = build_nfa(primary_cross[0], ab), build_nfa(primary_cross[1], ab)
-    lazy = LazyUnion(
-        LazyCross(reader, writer), LazyCompose(LazyComplementZone(zone_fsa), fallback_fst)
-    )
-    eager = FST.cross(reader, writer).union(
-        FST.identity(zone_fsa.complement()).compose(fallback_fst)
-    )
-    assert_relations_equal(lazy, eager, build_nfa(acceptor, ab))
-
-
 @settings(max_examples=60, deadline=None)
 @given(left=nfa_strategy(), right=nfa_strategy())
 def test_shortest_witness_is_shortest_and_genuine(left, right):
@@ -370,3 +246,168 @@ def test_shortest_witness_is_shortest_and_genuine(left, right):
         assert left_fsa.accepts(witness) and not right_fsa.accepts(witness)
         shortest = eager.shortest_accepted()
         assert shortest is not None and len(witness) == len(shortest)
+
+
+# ----------------------------------------------------------------------
+# Delayed transducer nodes vs. Appendix A set semantics
+# ----------------------------------------------------------------------
+# Each lazy node is compared with the set semantics of the relation it
+# denotes (repro.rir.semantics), which evaluates every operation eagerly on
+# a bounded model and shares no automata code with the nodes.  Pairs are
+# compared up to PAIR_BOUND symbols per word.  The model is evaluated to
+# MODEL_BOUND, so that the middle word of a composition and the source word
+# of an image, which the comparison leaves unbounded, fit in the model: leaf
+# words have at most two symbols, and a composition has at most three leaves
+# on either side, so a word it forces in the middle has at most six.
+REL_SIGMA = ("a", "b")
+PAIR_BOUND = 3
+MODEL_BOUND = 6
+
+
+def rel_alphabet() -> Alphabet:
+    # No drop/# specials: complement is relative to the alphabet, and the
+    # model's universe is built over REL_SIGMA.
+    return Alphabet(REL_SIGMA, with_specials=False)
+
+
+def finite_pathset_strategy() -> st.SearchStrategy[PathSet]:
+    """Up to three words of at most two symbols, as an RIR path set."""
+    words = st.lists(st.sampled_from(REL_SIGMA), max_size=2).map(tuple)
+    return st.frozensets(words, max_size=3).map(
+        lambda items: union_all([word(item) for item in sorted(items)])
+    )
+
+
+def zone_strategy() -> st.SearchStrategy[PathSet]:
+    """An arbitrary regular path set (stars, wildcards) for identity leaves."""
+    return regex_strategy(REL_SIGMA).map(PSRegex)
+
+
+def relation_strategy(max_leaves: int = 4) -> st.SearchStrategy[Rel]:
+    """RIR relation terms over every ``Rel`` node, with finite leaf languages
+    (or the complement of one, as the branch-shadowing prefix)."""
+    pathsets = finite_pathset_strategy()
+    leaves = st.one_of(
+        pathsets.map(RIdentity),
+        pathsets.map(lambda inner: RIdentity(PSComplement(inner))),
+        st.tuples(pathsets, pathsets).map(lambda pair: RCross(*pair)),
+        st.just(REmpty()),
+        st.just(REpsilon()),
+    )
+
+    def extend(children: st.SearchStrategy[Rel]) -> st.SearchStrategy[Rel]:
+        return st.one_of(
+            st.tuples(children, children).map(lambda pair: RUnion(*pair)),
+            st.tuples(children, children).map(lambda pair: RConcat(*pair)),
+            st.tuples(children, children).map(lambda pair: RCompose(*pair)),
+            children.map(RStar),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def context(alphabet: Alphabet) -> RIRContext:
+    empty = FSA.empty_language(alphabet)
+    return RIRContext(alphabet, empty, empty)
+
+
+def compile_lazy(rel: Rel, alphabet: Alphabet) -> LazyFST:
+    return compile_rel_lazy(rel, context(alphabet))
+
+
+def assert_matches_semantics(lazy: LazyFST, rel: Rel, source: PathSet) -> None:
+    """``lazy`` relates the bounded pairs Appendix A gives ``rel``, and its
+    image of ``source`` is the bounded semantic image."""
+    model = RIRModel(sigma=REL_SIGMA, max_length=MODEL_BOUND)
+    semantic = eval_rel(rel, model)
+    assert relation_pairs(lazy, max_length=PAIR_BOUND) == {
+        (p, q) for p, q in semantic if len(p) <= PAIR_BOUND and len(q) <= PAIR_BOUND
+    }
+    inputs = eval_pathset(source, model)
+    acceptor = compile_pathset(source, context(lazy.alphabet))
+    assert relation_image(lazy, acceptor).language(max_length=PAIR_BOUND) == {
+        q for p, q in semantic if p in inputs and len(q) <= PAIR_BOUND
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(rel=relation_strategy(), source=finite_pathset_strategy())
+def test_fused_image_matches_compose_oracle(rel, source):
+    """The image walk agrees with Appendix A's image, which composes
+    ``I(source)`` with the relation and projects the output tape."""
+    image = compile_pathset(PSImage(source, rel), context(rel_alphabet()))
+    model = RIRModel(sigma=REL_SIGMA, max_length=MODEL_BOUND)
+    expected = eval_pathset(PSImage(source, rel), model)
+    assert image.language(max_length=PAIR_BOUND) == {q for q in expected if len(q) <= PAIR_BOUND}
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=relation_strategy(), right=relation_strategy(), source=finite_pathset_strategy())
+def test_lazy_union_matches_eager_union(left, right, source):
+    ab = rel_alphabet()
+    lazy = LazyUnion(compile_lazy(left, ab), compile_lazy(right, ab))
+    assert_matches_semantics(lazy, RUnion(left, right), source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=relation_strategy(max_leaves=3),
+    right=relation_strategy(max_leaves=3),
+    source=finite_pathset_strategy(),
+)
+def test_lazy_compose_matches_eager_compose(left, right, source):
+    ab = rel_alphabet()
+    lazy = LazyCompose(compile_lazy(left, ab), compile_lazy(right, ab))
+    assert_matches_semantics(lazy, RCompose(left, right), source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=relation_strategy(), right=relation_strategy(), source=finite_pathset_strategy())
+def test_lazy_concat_matches_set_semantics(left, right, source):
+    ab = rel_alphabet()
+    lazy = LazyConcat(compile_lazy(left, ab), compile_lazy(right, ab))
+    assert_matches_semantics(lazy, RConcat(left, right), source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner=relation_strategy(), source=finite_pathset_strategy())
+def test_lazy_star_matches_set_semantics(inner, source):
+    ab = rel_alphabet()
+    assert_matches_semantics(LazyStar(compile_lazy(inner, ab)), RStar(inner), source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(language=zone_strategy(), source=finite_pathset_strategy())
+def test_lazy_identity_and_complement_zone_match_eager(language, source):
+    ab = rel_alphabet()
+    language_fsa = language.regex.to_fsa(ab)
+    assert_matches_semantics(LazyIdentity(language_fsa), RIdentity(language), source)
+    assert_matches_semantics(
+        LazyComplementZone(language_fsa), RIdentity(PSComplement(language)), source
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(reader=zone_strategy(), writer=zone_strategy(), source=finite_pathset_strategy())
+def test_lazy_cross_matches_eager_cross(reader, writer, source):
+    ab = rel_alphabet()
+    lazy = LazyCross(reader.regex.to_fsa(ab), writer.regex.to_fsa(ab))
+    assert_matches_semantics(lazy, RCross(reader, writer), source)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zone=zone_strategy(),
+    primary=relation_strategy(),
+    fallback=relation_strategy(),
+    source=finite_pathset_strategy(),
+)
+def test_lazy_branch_shadowing_matches_eager_pipeline(zone, primary, fallback, source):
+    """The spec-compilation shape R1 | (I(¬Z) ∘ R2), delayed vs. Appendix A."""
+    ab = rel_alphabet()
+    lazy = LazyUnion(
+        compile_lazy(primary, ab),
+        LazyCompose(LazyComplementZone(zone.regex.to_fsa(ab)), compile_lazy(fallback, ab)),
+    )
+    expected = RUnion(primary, RCompose(RIdentity(PSComplement(zone)), fallback))
+    assert_matches_semantics(lazy, expected, source)

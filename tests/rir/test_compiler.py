@@ -26,19 +26,24 @@ from repro.rir import (
     REmpty,
     REpsilon,
     RIdentity,
-    RUnion,
     RIRContext,
     RIRModel,
+    RStar,
+    RUnion,
     compile_pathset,
-    compile_rel,
+    compile_rel_lazy,
     eval_pathset,
+    eval_rel,
 )
+from repro.testing.pairs import relation_pairs
 
 SIGMA = ("a", "b", "c")
 
 
-def make_context(pre: set[tuple[str, ...]], post: set[tuple[str, ...]]) -> RIRContext:
-    alphabet = Alphabet(SIGMA)
+def make_context(
+    pre: set[tuple[str, ...]], post: set[tuple[str, ...]], *, with_specials: bool = True
+) -> RIRContext:
+    alphabet = Alphabet(SIGMA, with_specials=with_specials)
     pre_fsa = FSA.from_words(alphabet, [list(p) for p in pre])
     post_fsa = FSA.from_words(alphabet, [list(p) for p in post])
     return RIRContext(alphabet, pre_fsa, post_fsa)
@@ -62,19 +67,25 @@ def test_compile_image():
 
 def test_compile_relation_operations():
     ctx = make_context(set(), set())
-    assert compile_rel(REmpty(), ctx).relation() == set()
-    assert compile_rel(REpsilon(), ctx).relation() == {((), ())}
+
+    def pairs(rel):
+        return relation_pairs(compile_rel_lazy(rel, ctx), max_length=4)
+
+    assert pairs(REmpty()) == set()
+    assert pairs(REpsilon()) == {((), ())}
     rel = RUnion(
         RCross(PSSymbol("a"), PSSymbol("b")),
         RIdentity(PSSymbol("c")),
     )
-    assert compile_rel(rel, ctx).relation() == {(("a",), ("b",)), (("c",), ("c",))}
+    assert pairs(rel) == {(("a",), ("b",)), (("c",), ("c",))}
     composed = RCompose(
         RCross(PSSymbol("a"), PSSymbol("b")), RCross(PSSymbol("b"), PSSymbol("c"))
     )
-    assert compile_rel(composed, ctx).relation() == {(("a",), ("c",))}
+    assert pairs(composed) == {(("a",), ("c",))}
     chained = RConcat(RIdentity(PSSymbol("a")), RCross(PSSymbol("b"), PSSymbol("c")))
-    assert compile_rel(chained, ctx).relation() == {(("a", "b"), ("a", "c"))}
+    assert pairs(chained) == {(("a", "b"), ("a", "c"))}
+    starred = RStar(RCross(PSSymbol("a"), PSEpsilon()))
+    assert pairs(starred) == {(("a",) * n, ()) for n in range(5)}
 
 
 def test_compilation_cache_reuses_results():
@@ -147,3 +158,56 @@ def test_compiler_agrees_with_reference_semantics(node, pre, post):
     }
     reference_words = {w for w in reference if len(w) <= bound}
     assert compiled_words == reference_words
+
+
+def relation_strategy() -> st.SearchStrategy:
+    """Relations over every ``Rel`` node, with finite leaf languages."""
+    pathsets = st.one_of(
+        st.sampled_from(SIGMA).map(PSSymbol),
+        st.just(PSEpsilon()),
+        st.just(PSEmpty()),
+        st.just(PSPreState()),
+    )
+    leaves = st.one_of(
+        pathsets.map(RIdentity),
+        pathsets.map(lambda inner: RIdentity(PSComplement(inner))),
+        st.tuples(pathsets, pathsets).map(lambda pair: RCross(*pair)),
+        st.just(REmpty()),
+        st.just(REpsilon()),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda pair: RUnion(*pair)),
+            st.tuples(children, children).map(lambda pair: RConcat(*pair)),
+            st.tuples(children, children).map(lambda pair: RCompose(*pair)),
+            children.map(RStar),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rel=relation_strategy(),
+    pre=st.sets(st.lists(st.sampled_from(SIGMA), min_size=1, max_size=2).map(tuple), max_size=3),
+)
+def test_relation_compiler_agrees_with_reference_semantics(rel, pre):
+    """Every ``Rel`` node compiles to a delayed relation with the Appendix A
+    pairs, and ``PreState ▷ rel`` to the Appendix A image."""
+    bound = 3
+    # Evaluate on a longer model, so that a composition's middle word and an
+    # image's source word, which the bounded comparison leaves unbounded,
+    # fit in it: leaf words have at most two symbols and a term at most
+    # three leaves, so a forced middle word has at most four.
+    model = RIRModel(pre=pre, sigma=SIGMA, max_length=5)
+    semantic = eval_rel(rel, model)
+    # No drop/# specials: complement is relative to the alphabet.
+    ctx = make_context(pre, set(), with_specials=False)
+    assert relation_pairs(compile_rel_lazy(rel, ctx), max_length=bound) == {
+        (p, q) for p, q in semantic if len(p) <= bound and len(q) <= bound
+    }
+    image = compile_pathset(PSImage(PSPreState(), rel), ctx)
+    assert set(image.enumerate_words(max_count=5000, max_length=bound)) == {
+        q for p, q in semantic if p in pre and len(q) <= bound
+    }

@@ -318,9 +318,7 @@ def naive_reports(backbone, scenario, contingencies, options):
             granularity=scenario.granularity,
         )
         post, expected = scenario.change(pre)
-        report = naive_verify(
-            pre, post, scenario.spec, db=backbone.location_db(), options=options, eager=False
-        )
+        report = naive_verify(pre, post, scenario.spec, db=backbone.location_db(), options=options)
         distinct = distinct_checks(pre, post, scenario.spec)
         outcomes.append((contingency, report, expected, distinct))
     return outcomes

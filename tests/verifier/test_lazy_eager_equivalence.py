@@ -1,13 +1,14 @@
-"""Lazy spec compilation vs the eager reference: reports must be byte-identical.
+"""Flat vs nested spec lowering: reports must be byte-identical.
 
-The engine compiles specs into delayed-operation DAGs whose leaves are
-determinized along the queried frontier only; the reference
-(:func:`repro.testing.reference.naive_verify` with ``eager=True``)
-materializes every relation as a concrete FST with the seed's
-``compile_rel`` and checks every FEC on its own.  Over a change dataset
-plus one buggy variant of every archetype, both must produce the same wire
-report — verdicts, per-branch counts, attribution and witness sets — once
-timing and the check-sharing counters are stripped.
+The engine compiles each spec as the flat union of shadowed ``else``
+branches, ``⋃_i I(¬(Z1|...|Z_{i-1})) ∘ R_i``; the reference
+(:func:`repro.testing.reference.naive_verify`) compiles the nested Figure 4
+translation ``R1 | (I(¬Z1) ∘ (R2 | ...))`` and checks every FEC on its own.
+Both are delayed-operation DAGs, pinned node by node against the paper's
+Appendix A set semantics in ``tests/automata/test_properties.py``.  Over a
+change dataset plus one buggy variant of every archetype, both must produce
+the same wire report — verdicts, per-branch counts, attribution and witness
+sets — once timing and the check-sharing counters are stripped.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def test_lazy_and_eager_spec_compilation_give_identical_reports(scenarios):
     db, population = scenarios
     violating = 0
     for scenario in population:
-        lazy_report = verify_change(scenario.pre, scenario.post, scenario.spec, db=db)
-        eager_report = naive_verify(scenario.pre, scenario.post, scenario.spec, db=db)
-        assert wire(lazy_report) == wire(eager_report), scenario.change_id
-        violating += not lazy_report.holds
+        flat_report = verify_change(scenario.pre, scenario.post, scenario.spec, db=db)
+        nested_report = naive_verify(scenario.pre, scenario.post, scenario.spec, db=db)
+        assert wire(flat_report) == wire(nested_report), scenario.change_id
+        violating += not flat_report.holds
     # The buggy variants must actually exercise attribution and witnesses.
     assert violating >= 4

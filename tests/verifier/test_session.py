@@ -117,7 +117,7 @@ def test_session_equivalence_without_memoization(stream_world):
     session = VerificationSession(initial)
     for epoch in stream:
         incremental = session.advance(epoch.post, epoch.spec)
-        reference = naive_verify(epoch.pre, epoch.post, epoch.spec, eager=False)
+        reference = naive_verify(epoch.pre, epoch.post, epoch.spec)
         assert report_facts(incremental) == report_facts(reference), epoch.epoch_id
         assert reference.unique_checks == reference.total_fecs
     assert session.stream.cached_checks > 0
